@@ -48,7 +48,6 @@ from .ski import (
     exact_gp_oracle,
     fit,
     load_model,
-    predict_mean,
 )
 
 __all__ = [
@@ -81,7 +80,6 @@ __all__ = [
     "load_model",
     "matched_dense_side",
     "naive_kernel_mvm",
-    "predict_mean",
     "rect_grid_1d",
     "run_gp_study",
     "run_interp_accuracy",

@@ -7,12 +7,9 @@ stderr.  Flags override keys from --config files; every run echoes the
 fully-resolved configuration.
 """
 
-import hashlib
+import csv
 import json
-import os
-import pickle
 import sys
-import tempfile
 from dataclasses import dataclass, field
 
 import click
@@ -32,11 +29,7 @@ from .bench import ExperimentResult
 from .grids import GridCapExceeded, build_sparse_grid, dump_points_csv, \
     sparse_grid_size
 from .kernels import ProductKernel
-from .sgmvm import build_plan
 from .ski import CgConfig, CgFailure, GpConfig, fit, load_model, read_xy_csv
-
-CACHE_ENV_VAR = "SKIGRID_CACHE_DIR"
-PLAN_CACHE_VERSION = 1
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -141,60 +134,6 @@ def _write_results(res, cc, csv_path=None):
     if csv_path:
         res.write_csv(csv_path)
     return out
-
-
-# ---- plan cache ------------------------------------------------------------
-
-
-def _plan_cache_path(cache_dir, resolution, dim, kernel):
-    digest = hashlib.sha256(json.dumps(
-        [PLAN_CACHE_VERSION, resolution, dim, kernel.hash_key()]
-    ).encode()).hexdigest()[:24]
-    return os.path.join(cache_dir, f"plan-{digest}.pkl")
-
-
-def cached_plan_factory(cache_dir, log=None):
-    """A build_plan lookalike backed by pickled plans under cache_dir.
-
-    Corrupt or mismatched cache files are ignored and rebuilt.
-    """
-
-    def factory(resolution, dim, kernel):
-        path = _plan_cache_path(cache_dir, resolution, dim, kernel)
-        if os.path.exists(path):
-            try:
-                with open(path, "rb") as fh:
-                    plan = pickle.load(fh)
-                if (plan.resolution == resolution and plan.dim == dim
-                        and plan.kernel.hash_key() == kernel.hash_key()):
-                    if log:
-                        log(f"plan cache hit: {path}")
-                    return plan
-            except Exception:
-                pass
-        plan = build_plan(resolution, dim, kernel)
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(plan, fh)
-            os.replace(tmp, path)
-        except OSError:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        if log:
-            log(f"plan cache store: {path}")
-        return plan
-
-    return factory
-
-
-def _plan_factory_from_env(cc):
-    cache_dir = os.environ.get(CACHE_ENV_VAR)
-    if not cache_dir:
-        return None
-    return cached_plan_factory(
-        cache_dir, log=lambda m: _note(cc, m, min_verbosity=1))
 
 
 # ---- group ------------------------------------------------------------------
@@ -480,15 +419,11 @@ def cmd_gp_fit(ctx, config_path, data, model_path, lengthscales,
                 y_std = 1.0
             y = (y - y_mean) / y_std
         cfg = _gp_config(r, X.shape[1])
-        model = fit(cfg, X, y, plan_factory=_plan_factory_from_env(cc))
-        model.save(r["model"])
-        with open(r["model"]) as fh:
-            payload = json.load(fh)
-        payload["y_standardization"] = {"mean": y_mean, "std": y_std}
-        payload["cli"] = {"command": "gp fit", "config": cc.resolved,
-                          "metadata": environment_metadata()}
-        with open(r["model"], "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+        model = fit(cfg, X, y)
+        model.y_mean, model.y_std = y_mean, y_std
+        model.save(r["model"], cli={"command": "gp fit",
+                                    "config": cc.resolved,
+                                    "metadata": environment_metadata()})
         _emit(cc, model=r["model"], n_train=len(y),
               cg_iterations=model.fit_stats.n_iters,
               final_rel_residual=model.fit_stats.final_rel_residual)
@@ -534,16 +469,11 @@ def cmd_gp_predict(ctx, config_path, model_path, data, output, verbose):
         if not r["model"] or not r["data"]:
             raise ValueError("--model and --data are required")
         model = load_model(r["model"])
-        with open(r["model"]) as fh:
-            payload = json.load(fh)
-        std = payload.get("y_standardization", {"mean": 0.0, "std": 1.0})
         dim = model.config.kernel.dim
         X = _read_features(r["data"], dim)
-        mean = model.predict_mean(X) * std["std"] + std["mean"]
-        import csv as _csv
-
+        mean = model.predict_mean(X)
         with open(r["output"], "w", newline="") as fh:
-            w = _csv.writer(fh)
+            w = csv.writer(fh)
             w.writerow([f"x_{j}" for j in range(dim)] + ["mean"])
             for xi, mi in zip(X, mean):
                 w.writerow([repr(float(v)) for v in xi]
@@ -609,7 +539,7 @@ def cmd_gp_study(ctx, config_path, data, function, dims, n_train, n_test,
         cg = CgConfig(rel_tolerance=r["cg_tol"],
                       max_iters=r["cg_max_iters"])
         if r["data"]:
-            res = _csv_study(r, ls, cg, plan_factory=None)
+            res = _csv_study(r, ls, cg)
         else:
             tasks = [SyntheticTask(r["function"], d, noise_std=r["noise_std"],
                                    seed=r["seed"], n_train=r["n_train"],
@@ -632,7 +562,7 @@ def cmd_gp_study(ctx, config_path, data, function, dims, n_train, n_test,
     _guard(ctx, run)
 
 
-def _csv_study(r, ls, cg, plan_factory):
+def _csv_study(r, ls, cg):
     """4:2:3 split study on a CSV dataset, sparse vs matched dense grids."""
     X, y = read_xy_csv(r["data"])
     dim = X.shape[1]
@@ -661,7 +591,7 @@ def _csv_study(r, ls, cg, plan_factory):
                        dense_count=side, cg=cg)
         key = {"grid": kind, "d": dim}
         try:
-            model = fit(cfg, X[tr], ys[tr], plan_factory=plan_factory)
+            model = fit(cfg, X[tr], ys[tr])
         except CgFailure as exc:
             res.add("cg_converged", False, **key)
             res.add("cg_error", str(exc), **key)

@@ -8,7 +8,9 @@ A d-dimensional rectilinear grid Omega_l (``l`` now a vector) is the tensor
 product of per-dimension center sets, and the sparse grid G(ell, d) is the
 union of all Omega_l with ||l||_1 <= ell.  Points are named exactly by
 integer (level, position) pairs per dimension; floating-point coordinates
-are reconstructed on demand and never used as keys.
+are reconstructed on demand.  Index maps between grids (sparse_injection,
+rect_injection) are integer arithmetic on the canonical order below, never
+a search.
 
 Canonical point order (fixed once, everything downstream relies on it):
 
@@ -137,11 +139,13 @@ class RectGrid:
 
 
 class SparseGrid:
-    """Sparse grid G(resolution, dim) with canonical enumeration and lookup.
+    """Sparse grid G(resolution, dim) in canonical enumeration.
 
     Immutable after construction.  ``levels`` and ``positions`` are (N, dim)
     read-only int arrays in canonical order; ``blocks`` lists the top-level
-    decomposition (i, child subgrid) — child is None when dim == 1.
+    decomposition (i, child subgrid) — child is None when dim == 1.  The
+    canonical index of a point of a component grid Omega_l is closed-form:
+    see rect_injection.
     """
 
     def __init__(self, resolution, dim, size_cap=DEFAULT_SIZE_CAP):
@@ -170,84 +174,12 @@ class SparseGrid:
         self.block_sizes = tuple(sizes)
         self.block_offsets = tuple(np.concatenate([[0], np.cumsum(sizes)])[:-1])
         assert self.block_offsets[-1] + self.block_sizes[-1] == self.size
-        self._sorted_keys = None
-        self._sorted_order = None
-        self._dict_lookup = None
 
     # ---- coordinates ---------------------------------------------------
 
     def points(self):
         """Float coordinates, shape (size, dim), canonical order."""
         return self.positions / np.exp2(self.levels + 1)
-
-    # ---- exact lookup --------------------------------------------------
-
-    def _keys(self, levels, positions):
-        # Per-dim numerator on the common denominator 2**(resolution+1); packs
-        # each dim into resolution+1 bits.  Caller guarantees the bit budget.
-        shift = self.resolution - levels
-        c = positions << shift
-        base = np.int64(1) << (self.resolution + 1)
-        key = c[:, 0].astype(np.int64)
-        for j in range(1, self.dim):
-            key = key * base + c[:, j]
-        return key
-
-    def _ensure_lookup(self):
-        if self._sorted_keys is not None or self._dict_lookup is not None:
-            return
-        if (self.resolution + 1) * self.dim <= 62:
-            keys = self._keys(self.levels, self.positions)
-            order = np.argsort(keys, kind="stable")
-            self._sorted_keys = keys[order]
-            self._sorted_order = order
-        else:
-            self._dict_lookup = {
-                (tuple(l), tuple(p)): idx
-                for idx, (l, p) in enumerate(zip(self.levels, self.positions))
-            }
-
-    def global_indices(self, levels, positions):
-        """Map (levels, positions) rows to canonical global indices.
-
-        Raises KeyError if any queried point is not on the grid.
-        """
-        levels = np.asarray(levels, dtype=np.int64)
-        positions = np.asarray(positions, dtype=np.int64)
-        if levels.ndim == 1:
-            levels = levels[None, :]
-            positions = positions[None, :]
-        if (np.any(positions % 2 == 0) or np.any(positions < 1)
-                or np.any(positions >= (np.int64(2) << levels))):
-            raise ValueError("positions must be odd integers in (0, 2**(level+1))")
-        self._ensure_lookup()
-        if self._dict_lookup is not None:
-            out = np.empty(len(levels), dtype=np.int64)
-            for r, (l, p) in enumerate(zip(levels, positions)):
-                try:
-                    out[r] = self._dict_lookup[(tuple(l), tuple(p))]
-                except KeyError:
-                    raise KeyError(f"point (levels={l}, positions={p}) not on {self!r}")
-            return out
-        if np.any(levels > self.resolution) or np.any(levels.sum(axis=1) > self.resolution):
-            bad = np.argmax(levels.sum(axis=1) > self.resolution)
-            raise KeyError(
-                f"point (levels={levels[bad]}, positions={positions[bad]}) not on {self!r}"
-            )
-        keys = self._keys(levels, positions)
-        slot = np.searchsorted(self._sorted_keys, keys)
-        slot = np.minimum(slot, len(self._sorted_keys) - 1)
-        hit = self._sorted_keys[slot] == keys
-        if not np.all(hit):
-            bad = np.argmin(hit)
-            raise KeyError(
-                f"point (levels={levels[bad]}, positions={positions[bad]}) not on {self!r}"
-            )
-        return self._sorted_order[slot]
-
-    def lookup(self, levels, positions):
-        """Single-point convenience wrapper around global_indices."""
-        return int(self.global_indices(np.asarray(levels), np.asarray(positions))[0])
 
     def __len__(self):
         return self.size
@@ -408,28 +340,17 @@ class SelectionMap:
 def selection_map(U, V):
     """SelectionMap from grid U into grid V (U must be a subset of V).
 
-    Fast paths cover the pairs the MVM plan uses (sparse-in-sparse and
-    rect-in-sparse); anything else falls back to exact (level, position)
-    key matching on V.
+    Covers the pairs the MVM plan uses: sparse-in-sparse and rect-in-sparse,
+    both closed-form injections.
     """
-    if isinstance(U, SparseGrid) and isinstance(V, SparseGrid) and U.dim == V.dim:
-        idx = sparse_injection(U.resolution, V.resolution, U.dim)
-        return SelectionMap(U.size, V.size, idx)
-    if isinstance(U, RectGrid) and isinstance(V, SparseGrid) and U.dim == V.dim:
-        idx = rect_injection(U.levels, V.resolution)
-        return SelectionMap(U.size, V.size, idx)
-    ul, up = (U.index_pairs() if isinstance(U, RectGrid) else (U.levels, U.positions))
-    if isinstance(V, SparseGrid):
-        idx = V.global_indices(ul, up)
-    else:
-        vl, vp = V.index_pairs()
-        table = {(tuple(l), tuple(p)): i for i, (l, p) in enumerate(zip(vl, vp))}
-        try:
-            idx = np.array([table[(tuple(l), tuple(p))] for l, p in zip(ul, up)],
-                           dtype=np.int64)
-        except KeyError as e:
-            raise KeyError(f"point of {U!r} not found in {V!r}") from e
-    return SelectionMap(len(U), len(V), idx)
+    if isinstance(V, SparseGrid) and U.dim == V.dim:
+        if isinstance(U, SparseGrid):
+            idx = sparse_injection(U.resolution, V.resolution, U.dim)
+            return SelectionMap(U.size, V.size, idx)
+        if isinstance(U, RectGrid):
+            idx = rect_injection(U.levels, V.resolution)
+            return SelectionMap(U.size, V.size, idx)
+    raise ValueError(f"no selection map from {U!r} into {V!r}")
 
 
 def dump_points_csv(grid, path):

@@ -9,8 +9,9 @@ rows over the top d resolution shells,
 
 accumulated in global sparse-grid indices; the subsampled variant averages
 the shell |l|_1 = ell restricted to grids containing a component of ell or
-ell-1.  Row generation is pure per point; assemble_W batches it into a CSR
-matrix.
+ell-1.  A corner's column is its row-major index on Omega_l mapped through
+rect_injection(l, ell), so no point lookup is needed; assemble_W batches
+all points into one CSR matrix.
 
 Out-of-hull queries are handled by clamping the cell index and local
 coordinate, which keeps rows a partition of unity; level-0 (single-point)
@@ -26,7 +27,7 @@ from itertools import product
 import numpy as np
 import scipy.sparse
 
-from .grids import RectGrid, SparseGrid, build_sparse_grid
+from .grids import RectGrid, SparseGrid, build_sparse_grid, rect_injection
 
 RULE_KINDS = ("simplicial", "linear", "cubic")
 
@@ -288,31 +289,16 @@ def _components(resolution, dim, method):
     raise ValueError(f"unknown method {method!r}")
 
 
-def _grid_row(x, resolution, dim, base, method):
-    base = _as_rule(base)
-    grid = build_sparse_grid(resolution, dim)
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if X.shape != (1, dim) or not np.isfinite(X).all():
-        raise ValueError(f"query point must be a finite {dim}-vector")
-    fn = _corner_fn(base.kind)
-    idx_parts, w_parts = [], []
-    for levels, coeff in _components(resolution, dim, method):
-        corners, w = fn(X, UniformLattice.from_levels(levels))
-        k = corners.shape[1]
-        lev = np.broadcast_to(np.asarray(levels, dtype=np.int64), (k, dim))
-        idx_parts.append(grid.global_indices(lev, 2 * corners[0] + 1))
-        w_parts.append(coeff * w[0])
-    return WeightRow(np.concatenate(idx_parts), np.concatenate(w_parts))
-
-
 def combination_weights(x, resolution, dim, base=BaseRule()):
     """Combination-technique row for x on G(resolution, dim), global indices."""
-    return _grid_row(x, resolution, dim, base, "combination")
+    grid = build_sparse_grid(resolution, dim)
+    return assemble_W(np.reshape(x, (1, -1)), grid, base, "combination").row(0)
 
 
 def subsampled_weights(x, resolution, dim, base=BaseRule()):
     """Subsampled-rule row for x on G(resolution, dim), global indices."""
-    return _grid_row(x, resolution, dim, base, "subsampled")
+    grid = build_sparse_grid(resolution, dim)
+    return assemble_W(np.reshape(x, (1, -1)), grid, base, "subsampled").row(0)
 
 
 # ---- weight-matrix assembly --------------------------------------------------
@@ -388,49 +374,35 @@ def assemble_W(X, grid, rule=BaseRule(), method="combination"):
 
     if isinstance(grid, RectGrid):
         grid = UniformLattice.from_levels(grid.levels)
-    if isinstance(grid, UniformLattice):
-        if grid.dim != d:
-            raise ValueError(f"points have dim {d}, lattice has dim {grid.dim}")
-        corners, w = fn(X, grid)
-        k = corners.shape[1]
-        cols = np.ravel_multi_index(
-            tuple(corners.reshape(-1, d).T), grid.shape
-        ).astype(np.int64)
-        rows = np.repeat(np.arange(n, dtype=np.int64), k)
-        mat = scipy.sparse.coo_matrix(
-            (w.ravel(), (rows, cols)), shape=(n, grid.size)
-        ).tocsr()
-        return WeightMatrix(mat, rule, "rect", 1, d)
-
-    if not isinstance(grid, SparseGrid):
+    if not isinstance(grid, (SparseGrid, UniformLattice)):
         raise TypeError(f"grid must be SparseGrid, RectGrid or UniformLattice, "
                         f"got {type(grid).__name__}")
     if grid.dim != d:
         raise ValueError(f"points have dim {d}, grid has dim {grid.dim}")
-    comps = _components(grid.resolution, d, method)
+    # (lattice, lattice index -> grid column map or None, coefficient)
+    if isinstance(grid, UniformLattice):
+        parts = [(grid, None, 1.0)]
+        method = "rect"
+    else:
+        parts = [
+            (UniformLattice.from_levels(levels),
+             rect_injection(levels, grid.resolution), coeff)
+            for levels, coeff in _components(grid.resolution, d, method)
+        ]
     row_parts, col_parts, val_parts = [], [], []
-    for levels, coeff in comps:
-        corners, w = fn(X, UniformLattice.from_levels(levels))
+    for lat, columns, coeff in parts:
+        corners, w = fn(X, lat)
         k = corners.shape[1]
-        lev = np.broadcast_to(np.asarray(levels, dtype=np.int64), (n * k, d))
-        cols = grid.global_indices(lev, (2 * corners + 1).reshape(-1, d))
+        cols = np.ravel_multi_index(tuple(corners.reshape(-1, d).T), lat.shape)
         row_parts.append(np.repeat(np.arange(n, dtype=np.int64), k))
-        col_parts.append(cols)
+        col_parts.append(cols if columns is None else columns[cols])
         val_parts.append(coeff * w.ravel())
     mat = scipy.sparse.coo_matrix(
         (np.concatenate(val_parts),
          (np.concatenate(row_parts), np.concatenate(col_parts))),
         shape=(n, grid.size),
     ).tocsr()
-    return WeightMatrix(mat, rule, method, len(comps), d)
-
-
-def apply_W(W, v):
-    return W.apply(v)
-
-
-def apply_W_transpose(W, u):
-    return W.apply_transpose(u)
+    return WeightMatrix(mat, rule, method, len(parts), d)
 
 
 # ---- direct interpolation (index-free evaluation route) ---------------------

@@ -13,21 +13,9 @@ Toeplitz factors, multiplied mode by mode.
 
 import hashlib
 import json
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Observation noise variance."""
-
-    sigma2: float = 0.0
-
-    def __post_init__(self):
-        if not (self.sigma2 >= 0.0):
-            raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
 
 
 class ProductKernel:

@@ -239,11 +239,7 @@ def _criterion_6():
         Xs = rng.uniform(size=(40, d))
         cfg = GpConfig(kernel=kern, sigma2=s2, resolution=ell,
                        cg=CgConfig(rel_tolerance=1e-12, max_iters=5000))
-        with warnings.catch_warnings():
-            # plain CG wobbles near its 1e-12 floor; that is the point of
-            # checking against the dense solve, not a defect
-            warnings.simplefilter("ignore", RuntimeWarning)
-            model = fit(cfg, X, y)
+        model = fit(cfg, X, y)
         mean_cg = model.predict_mean(Xs)
         # quadratic-cost reference on the same mapped coordinates
         U = model.domain_map.forward(X)
@@ -291,13 +287,11 @@ def _criterion_7():
                           n_train=4000, n_test=500)
     task8 = SyntheticTask("cos_l1", 8, noise_std=noise, seed=11,
                           n_train=4000, n_test=500)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # early CG wobble
-        r2 = run_gp_study([task2], resolution=4, lengthscale=0.3, sigma2=0.01,
-                          cg=CgConfig(rel_tolerance=1e-5, max_iters=2000),
-                          grids=("sparse",), include_exact=True)
-        r8 = run_gp_study([task8], resolution=4, lengthscale=0.4, sigma2=0.01,
-                          cg=CgConfig(rel_tolerance=1e-4, max_iters=2000))
+    r2 = run_gp_study([task2], resolution=4, lengthscale=0.3, sigma2=0.01,
+                      cg=CgConfig(rel_tolerance=1e-5, max_iters=2000),
+                      grids=("sparse",), include_exact=True)
+    r8 = run_gp_study([task8], resolution=4, lengthscale=0.4, sigma2=0.01,
+                      cg=CgConfig(rel_tolerance=1e-4, max_iters=2000))
     rows2 = {(r["metric"], r.get("grid")): r["value"] for r in r2.rows}
     rmse2 = rows2[("test_rmse", "sparse")]
     rmse_ex = rows2[("test_rmse", "exact")]

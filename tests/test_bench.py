@@ -299,7 +299,6 @@ class TestInterpAccuracy:
         assert dense_sizes == [matched_dense_side(e, 2) for e in range(2, 6)]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestGpStudy:
     def small_task(self, **kw):
         kw.setdefault("n_train", 300)

@@ -148,6 +148,14 @@ class TestCanonicalOrder:
         assert len({tuple(r) for r in g.points()}) == g.size
 
 
+def assert_injection(idx, small, big):
+    """idx maps small's points onto the same (level, position) rows of big,
+    one to one."""
+    assert len(np.unique(idx)) == len(idx)
+    np.testing.assert_array_equal(big.levels[idx], small.levels)
+    np.testing.assert_array_equal(big.positions[idx], small.positions)
+
+
 class TestNesting:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_subset_for_all_resolutions(self, dim):
@@ -155,39 +163,9 @@ class TestNesting:
         big = build_sparse_grid(top, dim)
         for ell in range(top + 1):
             small = build_sparse_grid(ell, dim)
-            idx = big.global_indices(small.levels, small.positions)
+            idx = sparse_injection(ell, top, dim)
+            assert_injection(idx, small, big)
             np.testing.assert_allclose(big.points()[idx], small.points())
-
-
-class TestLookup:
-    def test_round_trip_permutation(self):
-        g = build_sparse_grid(4, 3)
-        rng = np.random.default_rng(0)
-        perm = rng.permutation(g.size)
-        got = g.global_indices(g.levels[perm], g.positions[perm])
-        np.testing.assert_array_equal(got, perm)
-
-    def test_missing_point_raises(self):
-        g = build_sparse_grid(2, 2)
-        with pytest.raises(KeyError):
-            g.global_indices(np.array([[3, 0]]), np.array([[1, 1]]))
-
-    def test_non_canonical_pair_rejected(self):
-        g = build_sparse_grid(2, 2)
-        with pytest.raises(ValueError):
-            g.global_indices(np.array([[1, 0]]), np.array([[2, 1]]))
-
-    def test_dict_fallback_matches_packed_path(self):
-        g = build_sparse_grid(3, 3)
-        idx_fast = g.global_indices(g.levels[::7], g.positions[::7])
-        g2 = SparseGrid(3, 3)
-        g2._dict_lookup = {
-            (tuple(l), tuple(p)): i
-            for i, (l, p) in enumerate(zip(g2.levels, g2.positions))
-        }
-        g2._sorted_keys = None
-        idx_slow = g2.global_indices(g.levels[::7], g.positions[::7])
-        np.testing.assert_array_equal(idx_fast, idx_slow)
 
 
 class TestSortedRank1d:
@@ -244,15 +222,14 @@ class TestSelectionMaps:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_recursive_injection_matches_key_matching(self, dim):
-        # sparse_injection is closed-form recursion; the generic path matches
-        # (level, position) keys. They must agree index for index.
+        # sparse_injection is closed-form recursion; it must send each point
+        # to the big-grid row with the same (level, position) key.
         for ell_small in range(0, 5):
             for ell_big in range(ell_small, 5):
                 small = build_sparse_grid(ell_small, dim)
                 big = build_sparse_grid(ell_big, dim)
-                fast = sparse_injection(ell_small, ell_big, dim)
-                slow = big.global_indices(small.levels, small.positions)
-                np.testing.assert_array_equal(fast, slow)
+                assert_injection(sparse_injection(ell_small, ell_big, dim),
+                                 small, big)
 
     @given(
         st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4),
@@ -262,11 +239,11 @@ class TestSelectionMaps:
     def test_rect_injection_matches_key_matching(self, levels, slack):
         ell = sum(levels) + slack
         big = build_sparse_grid(ell, len(levels))
-        fast = rect_injection(tuple(levels), ell)
-        rect = RectGrid(levels)
-        lev, pos = rect.index_pairs()
-        slow = big.global_indices(lev, pos)
-        np.testing.assert_array_equal(fast, slow)
+        idx = rect_injection(tuple(levels), ell)
+        lev, pos = RectGrid(levels).index_pairs()
+        assert len(np.unique(idx)) == len(idx)
+        np.testing.assert_array_equal(big.levels[idx], lev)
+        np.testing.assert_array_equal(big.positions[idx], pos)
 
     def test_coordinate_agreement(self):
         small = build_sparse_grid(2, 3)
@@ -279,6 +256,8 @@ class TestSelectionMaps:
             selection_map(build_sparse_grid(3, 2), build_sparse_grid(2, 2))
         with pytest.raises((KeyError, ValueError)):
             selection_map(RectGrid([1]), RectGrid([2]))
+        with pytest.raises(ValueError):
+            selection_map(RectGrid([2, 1]), build_sparse_grid(2, 2))
 
 
 class TestCaps:

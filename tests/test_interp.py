@@ -12,8 +12,6 @@ from skigrid.interp import (
     BaseRule,
     UniformLattice,
     WeightRow,
-    apply_W,
-    apply_W_transpose,
     assemble_W,
     combination_components,
     combination_weights,
@@ -308,16 +306,31 @@ class TestSubsampled:
 
 class TestAssembleW:
     def test_rows_match_per_point_op(self):
+        # each row of W, applied to grid samples, equals the interpolant
+        # evaluated directly at that one point
         rng = np.random.default_rng(19)
         X = rng.uniform(0, 1, (15, 2))
         g = build_sparse_grid(3, 2)
+        f = lambda P: np.exp(-P[:, 0]) * np.sin(4 * P[:, 1])
         W = assemble_W(X, g)
+        samples = f(g.points())
         for i, x in enumerate(X):
             row = W.row(i)
-            want = combination_weights(x, 3, 2)
-            keep = want.weights != 0
-            np.testing.assert_array_equal(row.indices, want.indices[keep])
-            np.testing.assert_allclose(row.weights, want.weights[keep])
+            want = interpolate_direct(f, x[None, :], 3, 2)[0]
+            assert row.weights @ samples[row.indices] == pytest.approx(
+                want, abs=1e-12)
+
+    def test_high_dimension_matches_direct_evaluation(self):
+        # d=16 at l=3: (l+1)*d exceeds 62 bits, where the columns were once
+        # found by a per-point dict
+        rng = np.random.default_rng(47)
+        d, ell = 16, 3
+        g = build_sparse_grid(ell, d)
+        f = lambda P: np.cos(P.sum(axis=1)) + P[:, 0] * P[:, -1]
+        X = rng.uniform(0, 1, (8, d))
+        via_W = assemble_W(X, g).apply(f(g.points()))
+        direct = interpolate_direct(f, X, ell, d)
+        np.testing.assert_allclose(via_W, direct, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("method,kind", [
         ("combination", "simplicial"),
@@ -341,8 +354,8 @@ class TestAssembleW:
         W = assemble_W(X, g)
         u = rng.standard_normal(60)
         v = rng.standard_normal(g.size)
-        lhs = apply_W(W, v) @ u
-        rhs = v @ apply_W_transpose(W, u)
+        lhs = W.apply(v) @ u
+        rhs = v @ W.apply_transpose(u)
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1, abs(lhs)))
 
     def test_rect_paths_interpolate_lattice_samples(self):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from skigrid.grids import RectGrid, rect_grid_1d
 from skigrid.kernels import (
     KroneckerToeplitz,
-    NoiseModel,
     ProductKernel,
     SymmetricToeplitz,
     dense_grid_mvm,
@@ -53,8 +52,6 @@ class TestKernelEval:
             ProductKernel([0.0, 1.0])
         with pytest.raises(ValueError):
             ProductKernel([1.0], output_scale=-1.0)
-        with pytest.raises(ValueError):
-            NoiseModel(-0.1)
 
     def test_json_round_trip(self):
         k = ProductKernel([0.2, 0.9, 1.5], output_scale=3.0)

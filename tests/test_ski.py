@@ -9,7 +9,7 @@ import scipy.sparse
 from skigrid.grids import build_sparse_grid
 from skigrid.interp import BaseRule, WeightMatrix, assemble_W
 from skigrid.kernels import ProductKernel
-from skigrid.sgmvm import build_plan, sg_mvm_batched
+from skigrid.sgmvm import build_plan, sg_mvm, sg_mvm_batched
 from skigrid.ski import (
     CgConfig,
     CgFailure,
@@ -22,9 +22,7 @@ from skigrid.ski import (
     fit,
     load_model,
     materialize_ski,
-    predict_mean,
     read_xy_csv,
-    ski_matvec,
 )
 
 
@@ -60,7 +58,7 @@ class TestSkiOperator:
         for seed in range(3):
             rng, op, dense = small_instance(seed)
             v = rng.standard_normal(op.n)
-            got = ski_matvec(op, v)
+            got = op.matvec(v)
             assert np.abs(got - dense @ v).max() < 1e-10
 
     def test_zero_weight_rows_leave_noise_only(self):
@@ -104,7 +102,6 @@ class TestCg:
         np.testing.assert_allclose(alpha, y / 4.0, rtol=1e-14)
         assert stats.converged and stats.n_iters == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_matches_direct_dense_solve(self):
         rng, op, dense = small_instance(13)
         y = rng.standard_normal(op.n)
@@ -114,7 +111,6 @@ class TestCg:
         np.testing.assert_allclose(alpha, np.linalg.solve(dense, y),
                                    atol=1e-6)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_budget_exhaustion_reported_not_raised(self):
         rng, op, _ = small_instance(17)
         y = rng.standard_normal(op.n)
@@ -130,11 +126,10 @@ class TestCg:
         alpha, stats = cg_solve(_DiagOp([-1.0, -1.0, -1.0]), y)
         assert stats.diverged and not stats.converged
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_jacobi_preconditioner_converges_to_same_solution(self):
-        # seed 19 trips the 10x divergence guard on its first jacobi step
-        # (row-norm diagonal estimate is rough); seed 3 is well behaved.
-        rng, op, dense = small_instance(3)
+        # the row-norm diagonal estimate is rough: on seed 19 the residual
+        # of the first jacobi step jumps to 10.1 ||y|| before CG recovers
+        rng, op, dense = small_instance(19)
         y = rng.standard_normal(op.n)
         cfg = CgConfig(rel_tolerance=1e-10, max_iters=500,
                        preconditioner="jacobi")
@@ -143,15 +138,26 @@ class TestCg:
         np.testing.assert_allclose(alpha, np.linalg.solve(dense, y),
                                    atol=1e-6)
 
-    def test_monotonicity_soft_check_warns_but_solves(self):
-        rng, op, dense = small_instance(0)  # known to oscillate early
-        y = rng.standard_normal(op.n)
-        with pytest.warns(RuntimeWarning, match="residual increased"):
-            alpha, stats = cg_solve(op, y, CgConfig(rel_tolerance=1e-10,
-                                                    max_iters=500))
-        assert stats.converged
+    def test_residual_peak_above_ten_times_rhs_still_converges(self):
+        # CG's residual norm is not monotone: on this well-posed fit it
+        # climbs past 10 ||y|| early on, and the solve must carry on
+        rng = np.random.default_rng([0, 2, 10000])
+        X = rng.uniform(size=(10000, 2))
+        y = np.cos(X.sum(axis=1)) + 0.05 * rng.standard_normal(10000)
+        cfg = GpConfig(kernel=ProductKernel([0.3, 0.3]), sigma2=0.0025,
+                       resolution=6,
+                       cg=CgConfig(rel_tolerance=1e-5, max_iters=5000))
+        model = fit(cfg, X, y)
+        stats = model.fit_stats
+        assert max(stats.residual_norms) > 10 * np.linalg.norm(y)
+        assert stats.converged and not stats.diverged
+        # true residual through the recursive MVM, a second route
+        W = assemble_W(model.domain_map.forward(X), model.grid)
+        plan = build_plan(6, 2, cfg.kernel)
+        Ka = W.apply(sg_mvm(plan, W.apply_transpose(model.alpha)))
+        resid = y - Ka - cfg.sigma2 * model.alpha
+        assert np.linalg.norm(resid) <= 1e-5 * np.linalg.norm(y)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_deterministic(self):
         rng, op, _ = small_instance(23)
         y = rng.standard_normal(op.n)
@@ -160,7 +166,6 @@ class TestCg:
         np.testing.assert_array_equal(a1, a2)
         assert s1.residual_norms == s2.residual_norms
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_residual_history_tracked(self):
         rng, op, _ = small_instance(29)
         y = rng.standard_normal(op.n)
@@ -219,7 +224,6 @@ def quick_cfg(d, ell=3, sigma2=0.01, ls=0.35, tol=1e-8, **kw):
     )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestFitPredict:
     def test_single_point_scalar_solve(self):
         X = np.array([[0.3, 0.8]])
