@@ -184,8 +184,11 @@ def _keys_cubic(s):
 def tensor_corners(X, lat, kind):
     """Tensor-product corners/weights: 2 points per dim (linear) or 4 (cubic).
 
-    Cubic uses the linear stencil in dimensions with fewer than 4 points;
-    stencil indices are clamped into the lattice, duplicates merge later.
+    Cubic uses the linear stencil in dimensions with fewer than 4 points,
+    and both rules use the lone point, weight 1, in single-point dimensions,
+    so a point has 2 or 4 corners per dimension that has more than one
+    lattice point; stencil indices are clamped into the lattice, duplicates
+    merge later.
     """
     if kind not in ("linear", "cubic"):
         raise ValueError(f"tensor rule must be linear or cubic, got {kind!r}")
@@ -194,7 +197,10 @@ def tensor_corners(X, lat, kind):
     idxs, ws = [], []
     for j in range(d):
         cj, rj = cell[:, j : j + 1], r[:, j : j + 1]
-        if kind == "cubic" and lat.counts[j] >= 4:
+        if lat.counts[j] == 1:
+            idx = np.zeros((n, 1), dtype=np.int64)
+            wj = np.ones((n, 1))
+        elif kind == "cubic" and lat.counts[j] >= 4:
             offs = np.array([-1, 0, 1, 2])
             idx = np.clip(cj + offs, 0, lat.counts[j] - 1)
             wj = _keys_cubic(rj - offs)

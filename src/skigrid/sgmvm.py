@@ -28,15 +28,17 @@ order:
   kernel sub-problem (same sub-resolution, same trailing dimensions) as
   one batched matrix; the bottom-up sweep finishes the B parts in reverse
   dimension order.  Outputs are identical to sg_mvm up to roundoff; the
-  win is that Python/FFT call counts collapse from the size of the
-  recursion tree to one visit per sub-problem.
+  win is that Python and Toeplitz call counts collapse from the size of
+  the recursion tree to one visit per (dimension, level), and all data
+  movement runs through index maps the plan precomputes.
 
 Everything here works with unit-variance per-dimension kernel factors and
 applies the kernel's output_scale exactly once, at the top level.
 """
 
-import time
+import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,13 +98,38 @@ def _block_layout(a, dp):
     return offs, bs, child
 
 
+class _Level(NamedTuple):
+    """Index maps of one (dimension dp, level i) step of the batched sweep.
+
+    The step's layout has one row per point of the sorted grid G(i, 1) and
+    ``width`` runs per row: every class (a, dp) with a >= i in turn, each
+    contributing its |G(a-i, dp-1)| child points times its units, in runs of
+    ``MvmPlan._run[dp]`` units.  ``block``, ``bbar`` and ``a_part`` give,
+    for each run of the even rows (the points of Omega_i), the run it maps
+    to in a workspace.
+    """
+
+    n: int        # order of the level-i Toeplitz factor, 2**(i+1) - 1
+    width: int    # runs per row
+    cut: int      # leading runs of the classes with an A part (a > i)
+    block: np.ndarray   # (2**i, width): the class's Omega_i block rows
+    bbar: np.ndarray    # (2**i, width): the Bbar right-hand side in the child
+    a_part: np.ndarray  # (2**i, cut): the A right-hand side in the child
+    select: np.ndarray | None  # (width,): these runs among level i-1's
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 class MvmPlan:
     """Precomputed state shared by the recursive and iterative multiplies.
 
     Holds one Toeplitz operator per (original dimension, level) — exactly
-    dim * (resolution + 1) kernel sub-problems — plus the block layouts,
-    injection index maps, sorted-rank permutations, and the batching
-    schedule of the iterative sweep.  Immutable except through refresh().
+    dim * (resolution + 1) kernel sub-problems — plus the workspace layout
+    and index maps of the batched sweep.  Immutable except through
+    refresh(), which swaps the Toeplitz operators and nothing else.
     """
 
     def __init__(self, resolution, dim, kernel, size_cap=None):
@@ -113,7 +140,6 @@ class MvmPlan:
                 "plan requires a product kernel exposing per-dimension factors "
                 f"for dim={dim}; got {kernel!r}"
             )
-        t0 = time.perf_counter()
         self.resolution = int(resolution)
         self.dim = int(dim)
         self.grid = build_sparse_grid(resolution, dim, size_cap=size_cap)
@@ -124,109 +150,92 @@ class MvmPlan:
             for axis in range(dim)
             for lev in range(resolution + 1)
         }
-        self._prewarm_index_maps()
-        self._build_schedule()
-        self.build_seconds = time.perf_counter() - t0
+        self._build_sweep()
 
     # -- construction helpers --------------------------------------------
 
-    def _prewarm_index_maps(self):
-        for a in range(self.resolution + 1):
-            canonical_to_sorted_1d(a)
-        for dp in range(2, self.dim + 1):
-            for a in range(self.resolution + 1):
-                _block_layout(a, dp)
-                for i in range(a + 1):
-                    for j in range(i, a + 1):
-                        sparse_injection(a - j, a - i, dp - 1)
+    def _build_sweep(self):
+        """Workspace layout and index maps of the batched sweeps.
 
-    def _build_schedule(self):
-        """Column layout of the batched sweeps, in column units per top RHS.
-
-        All bookkeeping is independent of the number of right-hand sides r:
-        unit offsets/widths multiply by r at run time.
+        A class (a, dp) is the sub-problem K_{G(a, dp)} on the trailing dp
+        dimensions; the sweep multiplies it by ``units`` columns per top-level
+        right-hand side.  All classes of one dp share a workspace: class by
+        class (a descending), each a row-major (|G(a, dp)|, units) block, one
+        row of r values per unit.  Nothing here depends on r.
         """
-        units = {(self.resolution, self.dim): 1}
-        chunk_slices = {}
-        order_a = {}
-        for dp in range(self.dim, 1, -1):
-            order_a[dp] = [a for a in range(self.resolution, -1, -1)
-                           if (a, dp) in units]
-            for a in order_a[dp]:
-                u = units[(a, dp)]
+        ell, dim = self.resolution, self.dim
+        units = {(ell, dim): 1}
+        slots = {}  # (a, dp, i, part) -> first unit column in the child class
+        for dp in range(dim, 1, -1):
+            for a in range(ell, -1, -1):
+                if (a, dp) not in units:
+                    continue
                 for i in range(a + 1):
                     child = (a - i, dp - 1)
-                    w = (1 << i) * u
-                    if i < a:
-                        start = units.setdefault(child, 0)
-                        units[child] = start + w
-                        chunk_slices[(a, dp, i, "A")] = (start, w)
-                    start = units.setdefault(child, 0)
-                    units[child] = start + w
-                    chunk_slices[(a, dp, i, "Bbar")] = (start, w)
-        order_a[1] = [a for a in range(self.resolution, -1, -1) if (a, 1) in units]
-        if self.dim == 1:
-            units[(self.resolution, 1)] = 1
-            order_a[1] = [self.resolution]
-        self._units = units
-        self._chunk_slices = chunk_slices
-        self._order_a = order_a
-        self.workspace_floats = sum(
-            sparse_grid_size(a, dp) * u for (a, dp), u in units.items()
-        )
-        # Per-sweep tables: for each (dp, level i), the column layout of the
-        # batched Toeplitz application plus the gather/scatter index arrays;
-        # for each class, its emission plan.  Nothing here depends on r.
-        self._levels_at = {}
-        self._emit_at = {}
-        for dp in range(self.dim, 1, -1):
-            acts = order_a[dp]
-            level_rows = []
+                    for part in ("A", "Bbar") if i < a else ("Bbar",):
+                        slots[(a, dp, i, part)] = units.get(child, 0)
+                        units[child] = slots[(a, dp, i, part)] + (units[(a, dp)] << i)
+        classes = {
+            dp: tuple(a for a in range(ell, -1, -1) if (a, dp) in units)
+            for dp in range(1, dim + 1)
+        }
+        offset, self._workspace = {}, {}
+        for dp, acts in classes.items():
+            total = 0
+            for a in acts:
+                offset[(a, dp)] = total
+                total += sparse_grid_size(a, dp) * units[(a, dp)]
+            self._workspace[dp] = total
+        self.workspace_floats = sum(self._workspace.values())
+        # 1-d base: (level, first unit row, units) per class.
+        self._base = tuple((a, offset[(a, 1)], units[(a, 1)])
+                           for a in classes[1])
+        # The maps at dp index runs of g units, g the gcd of the class units
+        # there (a power of two that grows as dp falls): every offset at dp,
+        # and every child unit count, slot and offset (sums of class units
+        # times 2**i), is a multiple of g.  So the bulk of the data, at small
+        # dp, moves in long contiguous runs, and the maps stay short.
+        self._levels, self._run = {}, {}
+        for dp in range(dim, 1, -1):
+            acts = classes[dp]
+            g = self._run[dp] = math.gcd(*(units[(a, dp)] for a in acts))
+            levels, prev_start = [], None
             for i in range(acts[0] + 1):
-                rows, tot = [], 0
+                p = np.arange(1 << i)[:, None, None]
+                block, bbar, a_part, select, start, width = [], [], [], [], {}, 0
                 for a in acts:
                     if a < i:
                         continue
-                    offs, bs, child = _block_layout(a, dp)
-                    ckey = (a - i, dp - 1)
-                    sA, wA = chunk_slices.get((a, dp, i, "A"), (None, None))
-                    gb = tuple(
-                        (j, sparse_injection(a - i, a - j, dp - 1),
-                         omega_ranks_in_sorted_1d(j, i))
-                        for j in range(i + 1)
-                    )
-                    w = int(child[i]) * units[(a, dp)]
-                    rows.append(
-                        (a, tot, w, int(offs[i]), int(bs[i]), int(child[i]),
-                         gb, ckey, sA, wA)
-                    )
-                    tot += w
-                level_rows.append((2 ** (i + 1) - 1, tot, tuple(rows)))
-            self._levels_at[dp] = tuple(level_rows)
-            emit = {}
-            for a in acts:
-                offs, bs, child = _block_layout(a, dp)
-                steps = []
-                for i in range(a + 1):
-                    ckey = (a - i, dp - 1)
-                    sB, wB = chunk_slices[(a, dp, i, "Bbar")]
-                    sA, wA = chunk_slices.get((a, dp, i, "A"), (None, None))
-                    ga = tuple(
-                        (j, omega_ranks_in_sorted_1d(i, j),
-                         sparse_injection(a - j, a - i, dp - 1))
-                        for j in range(i + 1, a + 1)
-                    )
-                    steps.append(
-                        (i, ckey, sparse_grid_size(*ckey), units[ckey],
-                         sB, wB, sA, wA, int(offs[i]), int(bs[i]),
-                         int(child[i]), ga)
-                    )
-                emit[a] = tuple(steps)
-            self._emit_at[dp] = emit
-        self._class_sizes = {
-            (a, dp): sparse_grid_size(a, dp)
-            for dp in order_a for a in order_a[dp]
-        }
+                    u = units[(a, dp)] // g
+                    m = sparse_grid_size(a - i, dp - 1)
+                    row = offset[(a, dp)] // g + int(_block_layout(a, dp)[0][i]) * u
+                    block.append(row + p * (m * u) + np.arange(m * u))
+                    crow = (offset[(a - i, dp - 1)] // g
+                            + np.arange(m)[:, None] * (units[(a - i, dp - 1)] // g))
+                    inner = p * u + np.arange(u)
+                    bbar.append(crow + slots[(a, dp, i, "Bbar")] // g + inner)
+                    if i < a:
+                        a_part.append(crow + slots[(a, dp, i, "A")] // g + inner)
+                    if i > 0:
+                        inj = sparse_injection(a - i, a - i + 1, dp - 1)
+                        select.append(prev_start[a] + (inj[:, None] * u
+                                                       + np.arange(u)).ravel())
+                    start[a] = width
+                    width += m * u
+
+                def cat(parts):  # class by class along the runs of a row
+                    return _read_only(np.hstack(
+                        [b.reshape(1 << i, -1) for b in parts]
+                        + [np.empty((1 << i, 0), dtype=np.intp)]))
+
+                a_part = cat(a_part)
+                levels.append(_Level(
+                    n=2 ** (i + 1) - 1, width=width, cut=a_part.shape[1],
+                    block=cat(block), bbar=cat(bbar), a_part=a_part,
+                    select=_read_only(np.concatenate(select)) if i > 0 else None,
+                ))
+                prev_start = start
+            self._levels[dp] = tuple(levels)
 
     # -- bookkeeping surface ----------------------------------------------
 
@@ -357,140 +366,78 @@ def sg_mvm_batched(plan, V, kernel=None):
 
     Column-wise identical to sg_mvm up to roundoff.  V is (N,) or (N, r).
     Every Toeplitz factor (dimension, level) is applied once per sweep to
-    the column-concatenation of all sub-problems that need it.
+    the column-concatenation of all sub-problems that need it, and every
+    move of data between a class and its children is one gather or scatter
+    through the plan's index maps per (dimension, level).  The A-type sums
+    of the top-down sweep telescope over levels: with D_i the part of the
+    sum over j > i restricted to the sorted grid G(i, 1),
+
+        D_{i-1} = embed-columns((Abar_i + D_i) at the odd rows),
+        A-part of level i = D_i at the even rows (Omega_i),
+
+    and the bottom-up Bbar sums telescope the other way, so neither needs
+    a loop over pairs of levels.
     """
     plan.check_kernel(kernel)
     V = np.asarray(V, dtype=np.float64)
     single = V.ndim == 1
-    V2 = V.reshape(len(V), -1)
-    if V2.shape[0] != plan.grid.size:
-        raise ValueError(f"vector length {V2.shape[0]} != grid size {plan.grid.size}")
-    r = V2.shape[1]
-    ell, dim = plan.resolution, plan.dim
-    order_a = plan._order_a
+    X = V.reshape(len(V), -1)
+    if X.shape[0] != plan.grid.size:
+        raise ValueError(f"vector length {X.shape[0]} != grid size {plan.grid.size}")
+    r = X.shape[1]
+    dim = plan.dim
+    # take() writes straight into ``out`` under mode="clip" (the default mode
+    # buffers a copy); plan indices are always in range, so none is clipped.
 
-    rhs = {(ell, dim): V2}
-    results = {}
-
-    # Top-down sweep: batched Toeplitz pre-pass, then per-class emission of
-    # the A-type and Bbar-type right-hand sides into the child buffers.
+    # Top-down: batched Toeplitz pre-pass per level, then the Bbar and A
+    # right-hand sides of every class go to the child workspace.
     for dp in range(dim, 1, -1):
-        axis = dim - dp
-        Abar = {}
-        for i, (n_i, tot, rows) in enumerate(plan._levels_at[dp]):
-            E = np.zeros((n_i, tot * r))
-            for a, off, w, boff, bsz, Mi, gb, ckey, sA, wA in rows:
-                # Omega_i occupies the even slots of its own sorted grid
-                E[0::2, off * r : (off + w) * r] = (
-                    rhs[(a, dp)][boff : boff + bsz].reshape(1 << i, w * r)
-                )
+        axis, levels, g = dim - dp, plan._levels[dp], plan._run[dp]
+        runs = X.reshape(-1, g * r)
+        child = np.empty((plan._workspace[dp - 1] // g, g * r))
+        D = None
+        for i in range(len(levels) - 1, -1, -1):
+            lev = levels[i]
+            # Omega_i sits at the even slots of its own sorted grid
+            E = np.zeros((lev.n, lev.width, g * r))
+            np.take(runs, lev.block, axis=0, out=E[0::2], mode="clip")
+            child[lev.bbar] = E[0::2]
             F = plan.toeplitz[(axis, i)].matmat(E)
-            for a, off, w, boff, bsz, Mi, gb, ckey, sA, wA in rows:
-                Abar[(a, i)] = F[:, off * r : (off + w) * r].reshape(n_i, Mi, -1)
-        for a in order_a[dp]:
-            R = rhs.pop((a, dp))
-            rc = R.shape[1]
-            for i, ckey, csz, cu, sB, wB, sA, wA, boff, bsz, Mi, ga in (
-                plan._emit_at[dp][a]
-            ):
-                buf = rhs.get(ckey)
-                if buf is None:
-                    buf = np.empty((csz, cu * r))
-                    rhs[ckey] = buf
-                Vi = R[boff : boff + bsz].reshape(1 << i, Mi, rc)
-                buf[:, sB * r : (sB + wB) * r] = Vi.transpose(1, 0, 2).reshape(Mi, -1)
-                if sA is not None:
-                    SA = np.zeros((1 << i, Mi, rc))
-                    for j, jrows, jcols in ga:
-                        SA[:, jcols, :] += Abar[(a, j)][jrows]
-                    buf[:, sA * r : (sA + wA) * r] = (
-                        SA.transpose(1, 0, 2).reshape(Mi, -1)
-                    )
-        del Abar
+            if D is not None:
+                child[lev.a_part] = D[0::2, : lev.cut]
+                F += D
+            if i > 0:
+                D = np.zeros((lev.n >> 1, levels[i - 1].width, g * r))
+                D[:, lev.select] = F[1::2]
+        X = child.reshape(-1, r)
 
-    # 1-d base: one permuted Toeplitz multiply per remaining class.
-    axis = dim - 1
-    for a in order_a[1]:
-        R = rhs.pop((a, 1))
+    # 1-d base: one permuted Toeplitz multiply per class.
+    Y = np.empty(X.shape)
+    for a, start, units in plan._base:
+        n = 2 ** (a + 1) - 1
         ranks = canonical_to_sorted_1d(a)
-        S = np.empty_like(R)
-        S[ranks] = R
-        results[(a, 1)] = plan.toeplitz[(axis, a)].matmat(S)[ranks]
+        rows = slice(start, start + n * units)
+        S = np.empty((n, units * r))
+        S[ranks] = X[rows].reshape(n, -1)
+        np.take(plan.toeplitz[(dim - 1, a)].matmat(S), ranks, axis=0,
+                out=Y[rows].reshape(n, -1), mode="clip")
 
-    # Bottom-up sweep in reverse dimension order: finish the B parts with
-    # batched Toeplitz multiplies, add the A parts, emit each class's output.
+    # Bottom-up in reverse dimension order: gather each level's B
+    # right-hand side, multiply, add the A parts and write the blocks.
     for dp in range(2, dim + 1):
-        axis = dim - dp
-        Bbar = {}
-        U = {}
-        for a in order_a[dp]:
-            U[a] = np.empty((plan._class_sizes[(a, dp)], plan._units[(a, dp)] * r))
-            for i, ckey, csz, cu, sB, wB, sA, wA, boff, bsz, Mi, ga in (
-                plan._emit_at[dp][a]
-            ):
-                Bbar[(a, i)] = results[ckey][:, sB * r : (sB + wB) * r].reshape(
-                    Mi, 1 << i, -1
-                )
-        for i, (n_i, tot, rows) in enumerate(plan._levels_at[dp]):
-            SB = np.zeros((n_i, tot * r))
-            for a, off, w, boff, bsz, Mi, gb, ckey, sA, wA in rows:
-                for j, jcols, jrows in gb:
-                    SB[jrows, off * r : (off + w) * r] += (
-                        Bbar[(a, j)][jcols].transpose(1, 0, 2).reshape(1 << j, w * r)
-                    )
-            Bout = plan.toeplitz[(axis, i)].matmat(SB)[0::2]
-            for a, off, w, boff, bsz, Mi, gb, ckey, sA, wA in rows:
-                acc = Bout[:, off * r : (off + w) * r]
-                if sA is not None:
-                    A = results[ckey][:, sA * r : (sA + wA) * r]
-                    acc = acc + A.reshape(Mi, 1 << i, -1).transpose(1, 0, 2).reshape(
-                        1 << i, w * r
-                    )
-                U[a][boff : boff + bsz] = acc.reshape(bsz, -1)
-        for a in order_a[dp]:
-            results[(a, dp)] = U[a]
-        for key in [k for k in results if k[1] == dp - 1]:
-            del results[key]
+        axis, levels, g = dim - dp, plan._levels[dp], plan._run[dp]
+        runs = Y.reshape(-1, g * r)
+        out = np.empty((plan._workspace[dp] // g, g * r))
+        S = None
+        for i, lev in enumerate(levels):
+            Sprev, S = S, np.empty((lev.n, lev.width, g * r))
+            np.take(runs, lev.bbar, axis=0, out=S[0::2], mode="clip")
+            if Sprev is not None:
+                np.take(Sprev, lev.select, axis=1, out=S[1::2], mode="clip")
+            B = plan.toeplitz[(axis, i)].matmat(S)[0::2]
+            B[:, : lev.cut] += np.take(runs, lev.a_part, axis=0)
+            out[lev.block] = B
+        Y = out.reshape(-1, r)
 
-    out = results[(ell, dim)] * plan.kernel.output_scale
+    out = Y * plan.kernel.output_scale
     return out[:, 0] if single else out
-
-
-# ---- probes ----------------------------------------------------------------
-
-
-def mvm_cost_probe(plan, reps=3, seed=0):
-    """Wall time per batched MVM, plan build time, and peak algorithmic bytes.
-
-    Memory is the tracemalloc high-water mark of one multiply (workspace)
-    plus the resident size of the plan's cached spectra and index maps;
-    the measuring pass is separate from the timing pass.
-    """
-    import tracemalloc
-
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(plan.grid.size)
-    sg_mvm_batched(plan, v)  # warm-up, discarded
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        sg_mvm_batched(plan, v)
-        times.append(time.perf_counter() - t0)
-    plan_bytes = sum(t.spectrum.nbytes + t.first_column.nbytes
-                     for t in plan.toeplitz.values())
-    for a in range(plan.resolution + 1):
-        plan_bytes += canonical_to_sorted_1d(a).nbytes
-    for dp in range(2, plan.dim + 1):
-        for a in range(plan.resolution + 1):
-            for i in range(a + 1):
-                for j in range(i, a + 1):
-                    plan_bytes += sparse_injection(a - j, a - i, dp - 1).nbytes
-    tracemalloc.start()
-    sg_mvm_batched(plan, v)
-    _, ws_peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return {
-        "mvm_s": float(np.mean(times)),
-        "build_s": plan.build_seconds,
-        "peak_bytes": int(plan_bytes + ws_peak),
-    }

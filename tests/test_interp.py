@@ -332,6 +332,20 @@ class TestAssembleW:
         direct = interpolate_direct(f, X, ell, d)
         np.testing.assert_allclose(via_W, direct, rtol=0, atol=1e-10)
 
+    def test_tensor_rule_in_high_dimension_matches_direct_evaluation(self):
+        # d=15 at l=3: every component grid has at most 3 dimensions with more
+        # than one point, so a linear row needs at most 2**3 corners per grid
+        rng = np.random.default_rng(53)
+        d, ell = 15, 3
+        g = build_sparse_grid(ell, d)
+        f = lambda P: np.cos(P.sum(axis=1)) + P[:, 0] * P[:, -1]
+        X = rng.uniform(0, 1, (200, d))
+        W = assemble_W(X, g, BaseRule("linear"), method="subsampled")
+        direct = interpolate_direct(f, X, ell, d, BaseRule("linear"),
+                                    method="subsampled")
+        np.testing.assert_allclose(W.apply(f(g.points())), direct,
+                                   rtol=0, atol=1e-10)
+
     @pytest.mark.parametrize("method,kind", [
         ("combination", "simplicial"),
         ("combination", "linear"),

@@ -80,7 +80,7 @@ class TestSymmetricToeplitz:
         np.testing.assert_allclose(T.matvec(np.ones(7)), np.full(7, 7 * 0.4),
                                    rtol=1e-13)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 257])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 255, 256, 257])
     def test_matches_dense(self, n):
         rng = np.random.default_rng(n)
         col = np.exp(-np.linspace(0, 3, n) ** 2)
@@ -106,7 +106,7 @@ class TestSymmetricToeplitz:
             np.testing.assert_allclose(out[:, c], T.matvec(V[:, c]), atol=1e-13)
 
     def test_embedding_length_is_power_of_two(self):
-        for n in [1, 2, 3, 5, 8, 100]:
+        for n in [256, 257, 300, 511, 1000]:
             T = SymmetricToeplitz(np.ones(n))
             L = T.embed_len
             assert L >= 2 * n and (L & (L - 1)) == 0

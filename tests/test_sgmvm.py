@@ -11,7 +11,6 @@ from skigrid.sgmvm import (
     NaiveDenseKernel,
     PlanKernelMismatch,
     build_plan,
-    mvm_cost_probe,
     naive_kernel_mvm,
     sg_mvm,
     sg_mvm_batched,
@@ -60,6 +59,19 @@ class TestOracleEquivalence:
         K = kernel.pairwise(grid.points())
         got = sg_mvm(plan, np.eye(grid.size))
         np.testing.assert_allclose(got, K, rtol=0, atol=1e-12)
+
+    def test_fft_and_dense_factors_together(self):
+        # G(8, 2): the level-8 factor (order 511) takes the FFT path, the
+        # lower levels the dense one, within one batched multiply.
+        rng = np.random.default_rng(8)
+        kernel = make_kernel(2, rng)
+        plan = build_plan(8, 2, kernel)
+        assert plan.grid.size == 4097
+        assert plan.toeplitz[(0, 8)].spectrum is not None
+        assert plan.toeplitz[(0, 7)].matrix is not None
+        V = rng.standard_normal((plan.grid.size, 3))
+        want = naive_kernel_mvm(plan.grid, kernel, V)
+        assert rel_err(sg_mvm_batched(plan, V), want) < 1e-10
 
     def test_routes_agree_columnwise(self):
         rng = np.random.default_rng(5)
@@ -165,11 +177,21 @@ class TestPlan:
         k1 = make_kernel(2, rng)
         k2 = make_kernel(2, rng)
         plan = build_plan(3, 2, k1)
-        tables_before = plan._levels_at
+        tables_before = plan._levels
+
+        def maps():
+            return [m for levels in plan._levels.values() for lev in levels
+                    for m in (lev.block, lev.bbar, lev.a_part, lev.select)
+                    if m is not None]
+
+        copies = [m.copy() for m in maps()]
         old_hash = plan.kernel_hash
         plan.refresh(k2)
         assert plan.kernel_hash != old_hash
-        assert plan._levels_at is tables_before  # index maps untouched
+        assert plan._levels is tables_before  # index maps untouched
+        for got, want in zip(maps(), copies, strict=True):
+            assert not got.flags.writeable
+            np.testing.assert_array_equal(got, want)
         v = rng.standard_normal(plan.grid.size)
         want = naive_kernel_mvm(plan.grid, k2, v)
         assert rel_err(sg_mvm_batched(plan, v), want) < 1e-10
@@ -232,13 +254,3 @@ class TestNaive:
         with pytest.raises(GridCapExceeded):
             NaiveDenseKernel(grid, kernel, point_cap=grid.size - 1)
         NaiveDenseKernel(grid, kernel, point_cap=grid.size)  # boundary ok
-
-
-class TestProbe:
-    def test_probe_reports_costs(self):
-        plan = build_plan(3, 2, ProductKernel(lengthscales=[0.5, 0.5]))
-        out = mvm_cost_probe(plan, reps=2, seed=0)
-        assert set(out) == {"mvm_s", "build_s", "peak_bytes"}
-        assert out["mvm_s"] > 0
-        assert out["build_s"] > 0
-        assert out["peak_bytes"] > plan.grid.size * 8

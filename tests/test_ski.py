@@ -139,8 +139,19 @@ class TestCg:
                                    atol=1e-6)
 
     def test_residual_peak_above_ten_times_rhs_still_converges(self):
-        # CG's residual norm is not monotone: on this well-posed fit it
-        # climbs past 10 ||y|| early on, and the solve must carry on
+        # CG's residual norm is not monotone: here the first step takes it to
+        # 20 ||y||, and the solve must carry on to the exact solution
+        y = np.array([0.05, 1.0])
+        alpha, stats = cg_solve(_DiagOp([1.0, 1e-6]), y)
+        assert stats.residual_norms[0] > 10 * np.linalg.norm(y)
+        assert stats.converged and not stats.diverged
+        assert stats.n_iters == 2
+        np.testing.assert_allclose(alpha, [0.05, 1e6], rtol=1e-8)
+
+    def test_fit_with_early_residual_peak_converges(self):
+        # a well-posed fit that a 10 ||y|| divergence guard once stopped after
+        # 17 iterations; how high its residual peaks depends on MVM roundoff,
+        # so the peak itself is checked on the fixed operator above
         rng = np.random.default_rng([0, 2, 10000])
         X = rng.uniform(size=(10000, 2))
         y = np.cos(X.sum(axis=1)) + 0.05 * rng.standard_normal(10000)
@@ -149,7 +160,6 @@ class TestCg:
                        cg=CgConfig(rel_tolerance=1e-5, max_iters=5000))
         model = fit(cfg, X, y)
         stats = model.fit_stats
-        assert max(stats.residual_norms) > 10 * np.linalg.norm(y)
         assert stats.converged and not stats.diverged
         # true residual through the recursive MVM, a second route
         W = assemble_W(model.domain_map.forward(X), model.grid)
