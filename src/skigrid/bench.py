@@ -26,7 +26,8 @@ from .grids import build_sparse_grid, sparse_grid_size
 from .interp import BaseRule, UniformLattice, assemble_W
 from .kernels import ProductKernel
 from .sgmvm import NaiveDenseKernel, build_plan, sg_mvm, sg_mvm_batched
-from .ski import CgConfig, CgFailure, GpConfig, exact_gp_oracle, fit
+from .ski import CgConfig, CgFailure, GpConfig, exact_gp_oracle, fit, \
+    read_xy_csv
 
 SYNTHETIC_FUNCTIONS = ("cos_l1", "aniso_cos", "corner_peak")
 
@@ -450,18 +451,11 @@ def run_gp_study(tasks, resolution=4, lengthscale=0.3, sigma2=None,
                            CgConfig(rel_tolerance=1e-5, max_iters=2000))
             key = {**base, "grid": kind}
             t0 = time.perf_counter()
-            try:
-                model = fit(cfg, X, y)
-            except CgFailure as exc:
-                res.add("cg_converged", False, **key)
-                res.add("cg_iterations", exc.stats.n_iters, **key)
-                res.add("cg_error", str(exc), **key)
-                res.add("test_rmse", None, **key)
+            model = _fit_rows(res, cfg, X, y, key)
+            if model is None:
                 continue
             took = time.perf_counter() - t0
             rmse = float(np.sqrt(np.mean((model.predict_mean(Xs) - fs) ** 2)))
-            res.add("cg_converged", True, **key)
-            res.add("cg_iterations", model.fit_stats.n_iters, **key)
             res.add("fit_time", took, unit="s", **key)
             res.add("test_rmse", rmse, **key)
 
@@ -471,4 +465,79 @@ def run_gp_study(tasks, resolution=4, lengthscale=0.3, sigma2=None,
             rmse = float(np.sqrt(np.mean((mu - fs) ** 2)))
             res.add("test_rmse", rmse, **{**base, "grid": "exact"})
             res.add("log_marginal", float(logp), **{**base, "grid": "exact"})
+    return res
+
+
+def cg_report(stats):
+    """A fit's CG and preconditioner statistics, by report name."""
+    return {"cg_iterations": stats.n_iters,
+            "final_rel_residual": stats.final_rel_residual,
+            "precond_rank": stats.precond_rank,
+            "precond_lambda_ratio": stats.precond_lambda_ratio,
+            "precond_iter_estimate": stats.precond_iter_estimate,
+            "precond_seconds": stats.precond_seconds}
+
+
+def _fit_rows(res, cfg, X, y, key):
+    """Fit and add its CG rows to ``res``; a CG failure is recorded in the
+    rows (with a null test_rmse) and returns None."""
+    try:
+        model = fit(cfg, X, y)
+    except CgFailure as exc:
+        res.add("cg_converged", False, **key)
+        res.add("cg_error", str(exc), **key)
+        res.add("test_rmse", None, **key)
+        stats, model = exc.stats, None
+    else:
+        res.add("cg_converged", True, **key)
+        stats = model.fit_stats
+    for name, value in cg_report(stats).items():
+        res.add(name, value, unit="s" if name == "precond_seconds" else None,
+                **key)
+    return model
+
+
+def run_csv_study(data, resolution=4, lengthscales=(0.3,), sigma2=0.0025,
+                  cg=None, seed=0, standardize=True):
+    """4:2:3 split study on a CSV dataset, sparse vs matched dense grids.
+
+    Targets are standardized with training-split statistics when asked; the
+    fitted model carries the transform, so its predictions are on the data
+    scale (``*_rmse_raw``) and ``*_rmse`` is that over the training std.
+    """
+    X, y = read_xy_csv(data)
+    dim = X.shape[1]
+    tr, val, te = split_4_2_3(len(X), seed=seed)
+    y_mean, y_std = 0.0, 1.0
+    if standardize:
+        y_mean = float(y[tr].mean())
+        y_std = float(y[tr].std()) or 1.0
+    ls = list(lengthscales)
+    side = matched_dense_side(resolution, dim)
+    res = ExperimentResult(
+        "gp_study",
+        {"data": data, "dim": dim, "resolution": resolution,
+         "lengthscales": ls, "sigma2": sigma2, "seed": seed,
+         "split": "4:2:3", "standardize": bool(standardize)},
+    )
+    res.add("split_sizes", f"{len(tr)}:{len(val)}:{len(te)}", d=dim)
+    res.add("sparse_grid_points", sparse_grid_size(resolution, dim),
+            unit="points", d=dim)
+    res.add("dense_grid_points", side**dim, unit="points", d=dim)
+    if len(ls) == 1:
+        ls = ls * dim
+    for kind in ("sparse", "dense"):
+        cfg = GpConfig(kernel=ProductKernel(ls), sigma2=sigma2, grid=kind,
+                       resolution=resolution, dense_count=side,
+                       cg=cg if cg is not None else CgConfig())
+        key = {"grid": kind, "d": dim}
+        model = _fit_rows(res, cfg, X[tr], (y[tr] - y_mean) / y_std, key)
+        if model is None:
+            continue
+        model.y_mean, model.y_std = y_mean, y_std
+        for split, idx in (("val", val), ("test", te)):
+            raw = float(np.sqrt(np.mean(
+                (model.predict_mean(X[idx]) - y[idx]) ** 2)))
+            res.add(f"{split}_rmse", raw / y_std, **key, scale="standardized")
+            res.add(f"{split}_rmse_raw", raw, **key, scale="raw")
     return res

@@ -18,14 +18,14 @@ import numpy as np
 from .bench import (
     MvmMismatch,
     SyntheticTask,
+    cg_report,
     environment_metadata,
     matched_dense_side,
+    run_csv_study,
     run_gp_study,
     run_interp_accuracy,
     run_mvm_scaling,
-    split_4_2_3,
 )
-from .bench import ExperimentResult
 from .grids import GridCapExceeded, build_sparse_grid, dump_points_csv, \
     sparse_grid_size
 from .kernels import ProductKernel
@@ -352,7 +352,8 @@ _GP_FIT_DEFAULTS = {
     "output_scale": 1.0, "sigma2": 0.0025, "grid": "sparse",
     "resolution": 4, "dense_count": 8, "rule": "simplicial",
     "method": "combination", "cg_tol": 1e-4, "cg_max_iters": 1000,
-    "preconditioner": "none", "standardize": True, "seed": 0, "verbose": 0,
+    "preconditioner": CgConfig.preconditioner, "standardize": True,
+    "seed": 0, "verbose": 0,
 }
 
 
@@ -373,7 +374,8 @@ def _gp_shared_options(fn):
         click.option("--cg-tol", type=float, default=None),
         click.option("--cg-max-iters", type=int, default=None),
         click.option("--preconditioner", type=click.Choice(
-            ["none", "jacobi"]), default=None),
+            ["none", "nystrom"]), default=None,
+            help="CG preconditioner (default: nystrom)."),
     ]):
         fn = deco(fn)
     return fn
@@ -425,8 +427,7 @@ def cmd_gp_fit(ctx, config_path, data, model_path, lengthscales,
                                     "config": cc.resolved,
                                     "metadata": environment_metadata()})
         _emit(cc, model=r["model"], n_train=len(y),
-              cg_iterations=model.fit_stats.n_iters,
-              final_rel_residual=model.fit_stats.final_rel_residual)
+              **cg_report(model.fit_stats))
         _note(cc, f"fit: n={len(y)} d={X.shape[1]} grid={cfg.grid} -> "
                   f"{r['model']} ({model.fit_stats.n_iters} CG iterations)")
 
@@ -539,7 +540,9 @@ def cmd_gp_study(ctx, config_path, data, function, dims, n_train, n_test,
         cg = CgConfig(rel_tolerance=r["cg_tol"],
                       max_iters=r["cg_max_iters"])
         if r["data"]:
-            res = _csv_study(r, ls, cg)
+            res = run_csv_study(r["data"], resolution=r["resolution"],
+                                lengthscales=ls, sigma2=r["sigma2"], cg=cg,
+                                seed=r["seed"], standardize=r["standardize"])
         else:
             tasks = [SyntheticTask(r["function"], d, noise_std=r["noise_std"],
                                    seed=r["seed"], n_train=r["n_train"],
@@ -560,53 +563,6 @@ def cmd_gp_study(ctx, config_path, data, function, dims, n_train, n_test,
                       f"rmse {val}")
 
     _guard(ctx, run)
-
-
-def _csv_study(r, ls, cg):
-    """4:2:3 split study on a CSV dataset, sparse vs matched dense grids."""
-    X, y = read_xy_csv(r["data"])
-    dim = X.shape[1]
-    tr, val, te = split_4_2_3(len(X), seed=r["seed"])
-    y_mean, y_std = 0.0, 1.0
-    if r["standardize"]:
-        y_mean = float(y[tr].mean())     # training split only
-        y_std = float(y[tr].std()) or 1.0
-    ys = (y - y_mean) / y_std
-    side = matched_dense_side(r["resolution"], dim)
-    res = ExperimentResult(
-        "gp_study",
-        {"data": r["data"], "dim": dim, "resolution": r["resolution"],
-         "lengthscales": ls, "sigma2": r["sigma2"], "seed": r["seed"],
-         "split": "4:2:3", "standardize": bool(r["standardize"])},
-    )
-    res.add("split_sizes", f"{len(tr)}:{len(val)}:{len(te)}", d=dim)
-    res.add("sparse_grid_points", sparse_grid_size(r["resolution"], dim),
-            unit="points", d=dim)
-    res.add("dense_grid_points", side**dim, unit="points", d=dim)
-    if len(ls) == 1:
-        ls = ls * dim
-    for kind in ("sparse", "dense"):
-        cfg = GpConfig(kernel=ProductKernel(ls), sigma2=r["sigma2"],
-                       grid=kind, resolution=r["resolution"],
-                       dense_count=side, cg=cg)
-        key = {"grid": kind, "d": dim}
-        try:
-            model = fit(cfg, X[tr], ys[tr])
-        except CgFailure as exc:
-            res.add("cg_converged", False, **key)
-            res.add("cg_error", str(exc), **key)
-            res.add("test_rmse", None, **key)
-            continue
-        res.add("cg_converged", True, **key)
-        res.add("cg_iterations", model.fit_stats.n_iters, **key)
-        for split, idx in (("val", val), ("test", te)):
-            pred = model.predict_mean(X[idx])
-            rmse = float(np.sqrt(np.mean((pred - ys[idx]) ** 2)))
-            res.add(f"{split}_rmse", rmse, **key, scale="standardized")
-            raw = float(np.sqrt(np.mean(
-                ((pred * y_std + y_mean) - y[idx]) ** 2)))
-            res.add(f"{split}_rmse_raw", raw, **key, scale="raw")
-    return res
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ log-likelihoods for validation at desk scale.
 import base64
 import csv
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,9 @@ from .sgmvm import build_plan, sg_mvm_batched
 
 NOISE_FLOOR = 1e-10
 ORACLE_POINT_CAP = 5000
+SKETCH_START_RANK = 32          # first rank of the Nystrom sketch
+SKETCH_SEED = 20211005          # fixed test-matrix seed: fits are reproducible
+SKETCH_MVM_BYTES = 48 << 20     # grid-MVM workspace of one sketch chunk
 
 
 class CgFailure(RuntimeError):
@@ -40,16 +44,24 @@ class CgFailure(RuntimeError):
 
 
 class SkiOperator:
-    """Symmetric PSD operator v -> W K_G W^T v + sigma^2 v."""
+    """Symmetric PSD operator v -> W K_G W^T v + sigma^2 v.
 
-    def __init__(self, W, grid_mvm, sigma2, k0=1.0):
+    ``mvm_floats`` is the workspace one grid MVM holds per column, in floats
+    (the plan's ``workspace_floats`` for the sparse grid; the grid size when
+    not given).  kernel_matmat sizes its column chunks by it, and
+    ``rank_bound`` = min(n, |G|) bounds the rank of W K_G W^T.
+    """
+
+    def __init__(self, W, grid_mvm, sigma2, mvm_floats=None):
         if sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
         self.W = W
         self.grid_mvm = grid_mvm
         self.sigma2 = float(sigma2)
-        self.k0 = float(k0)
         self.n = W.shape[0]
+        self.rank_bound = min(self.n, W.shape[1])
+        floats = mvm_floats if mvm_floats is not None else W.shape[1]
+        self.chunk = max(1, SKETCH_MVM_BYTES // (24 * floats))
 
     @property
     def shape(self):
@@ -59,12 +71,17 @@ class SkiOperator:
         return self.W.apply(self.grid_mvm(self.W.apply_transpose(v))) \
             + self.sigma2 * v
 
-    def jacobi_diagonal(self):
-        """diag estimate ||W_i||^2 k(0) + sigma^2 (exact for W rows hitting
-        a single grid point; an upper-bound-flavored proxy otherwise)."""
-        sq = self.W.matrix.multiply(self.W.matrix)
-        row_norms = np.asarray(sq.sum(axis=1)).ravel()
-        return row_norms * self.k0 + self.sigma2
+    def kernel_matmat(self, V):
+        """W K_G W^T V for an (n, r) block: the operator without its noise
+        term.  The grid MVM runs on chunks of ``chunk`` columns, so its
+        workspace (about 3 floats per workspace float and column) stays
+        under SKETCH_MVM_BYTES."""
+        out = np.empty(V.shape)
+        for j in range(0, V.shape[1], self.chunk):
+            cols = slice(j, j + self.chunk)
+            out[:, cols] = self.W.apply(
+                self.grid_mvm(self.W.apply_transpose(V[:, cols])))
+        return out
 
 
 def materialize_ski(W, K_grid, sigma2):
@@ -78,36 +95,125 @@ def materialize_ski(W, K_grid, sigma2):
 
 @dataclass(frozen=True)
 class CgConfig:
+    """CG stopping rule and preconditioner.
+
+    ``preconditioner`` is "nystrom" (the default: a randomized Nystrom
+    preconditioner whose rank adapts to the spectrum, built inside
+    cg_solve) or "none" (plain CG).
+    """
+
     rel_tolerance: float = 1e-4
     max_iters: int = 1000
-    preconditioner: str = "none"
+    preconditioner: str = "nystrom"
 
     def __post_init__(self):
         if self.rel_tolerance <= 0:
             raise ValueError("rel_tolerance must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.preconditioner not in ("none", "jacobi"):
-            raise ValueError("preconditioner must be 'none' or 'jacobi'")
+        if self.preconditioner not in ("nystrom", "none"):
+            raise ValueError("preconditioner must be 'nystrom' or 'none'")
 
 
 @dataclass
 class CgStats:
+    """Iteration record of one solve.
+
+    The precond_* fields describe the Nystrom preconditioner: its final
+    rank (0 when none was built), the sketch's smallest eigenvalue estimate
+    over the noise, lambda_r / sigma^2, the iteration estimate that set the
+    rank, and the seconds spent building it.
+    """
+
     n_iters: int = 0
     converged: bool = False
     diverged: bool = False
     final_rel_residual: float = 0.0
     residual_norms: list = field(default_factory=list)
+    precond_rank: int = 0
+    precond_lambda_ratio: float = 0.0
+    precond_iter_estimate: float = 0.0
+    precond_seconds: float = 0.0
+
+
+def _nystrom_factors(omega, y_raw):
+    """Eigenpairs of the stabilized Nystrom approximation of A.
+
+    ``y_raw`` = A omega.  omega = QR by Cholesky QR (a Gaussian omega is well
+    conditioned), and A Q = (A omega) R^-1, so columns sketched at a smaller
+    rank are reused.  Y = A Q + nu Q is shifted by nu = sqrt(n) eps(||A Q||),
+    the core Q^T Y = C^T C is factored by Cholesky, and U lam U^T = B B^T
+    for B = Y C^-1 follows from the eigendecomposition of B^T B, with nu
+    taken off lam.  Returns (U, lam), lam descending; U holds only the
+    columns with lam > 0, since the preconditioner is the identity on the
+    others.  Raises LinAlgError when omega or the core is not positive
+    definite.
+    """
+    r = scipy.linalg.cholesky(omega.T @ omega)
+    q = scipy.linalg.solve_triangular(r, omega.T, trans="T").T
+    y = scipy.linalg.solve_triangular(r, y_raw.T, trans="T").T
+    nu = np.sqrt(len(y)) * np.spacing(np.linalg.norm(y))
+    y += nu * q
+    core = q.T @ y
+    c = scipy.linalg.cholesky((core + core.T) / 2)
+    b = scipy.linalg.solve_triangular(c, y.T, trans="T").T
+    s2, v = np.linalg.eigh(b.T @ b)
+    s2, v = s2[::-1], v[:, ::-1]
+    lam = np.maximum(s2 - nu, 0.0)
+    keep = lam > 0
+    return b @ (v[:, keep] / np.sqrt(s2[keep])), lam
+
+
+def _nystrom_preconditioner(op, tol, stats):
+    """r -> P^-1 r for P^-1 = (lam_r + s2) U (Lam + s2 I)^-1 U^T + (I - U U^T).
+
+    The rank starts at SKETCH_START_RANK and doubles while the iteration
+    estimate 1/2 sqrt(1 + lam_r / s2) ln(2 / tol) exceeds it, up to
+    op.rank_bound.  The Gaussian test matrix is drawn from a fixed seed, so
+    solves are reproducible.  Returns None when no positive definite
+    approximation exists (an operator that is not PSD); plain CG then
+    reports the failure.
+    """
+    n, s2 = op.n, op.sigma2
+    rng = np.random.default_rng(SKETCH_SEED)
+    omega = y_raw = np.empty((n, 0))
+    rank = min(SKETCH_START_RANK, op.rank_bound)
+    while True:
+        new = rng.standard_normal((n, rank - omega.shape[1]))
+        omega = np.hstack([omega, new])
+        y_raw = np.hstack([y_raw, op.kernel_matmat(new)])
+        try:
+            u, lam = _nystrom_factors(omega, y_raw)
+        except np.linalg.LinAlgError:
+            return None
+        ratio = lam[-1] / s2 if s2 > 0 else np.inf
+        estimate = 0.5 * np.sqrt(1.0 + ratio) * np.log(2.0 / tol)
+        if estimate <= rank or rank == op.rank_bound:
+            break
+        rank = min(2 * rank, op.rank_bound)
+    scale = lam[-1] + s2
+    if scale <= 0:
+        return None
+    stats.precond_rank = rank
+    stats.precond_lambda_ratio = float(ratio)
+    stats.precond_iter_estimate = float(estimate)
+    coef = scale / (lam[: u.shape[1]] + s2) - 1.0
+    return lambda res: res + u @ (coef * (u.T @ res))
 
 
 def cg_solve(op, y, cfg=CgConfig()):
-    """Solve op @ alpha = y by (optionally Jacobi-preconditioned) CG.
+    """Solve op @ alpha = y by CG, Nystrom-preconditioned by default.
 
-    Runs until the relative residual drops below cfg.rel_tolerance or the
-    iteration budget is spent (reported in stats, not raised).  A search
-    direction with p^T A p <= 0 means the operator is not positive definite
-    and stops the solve as diverged.  The 2-norm residual of CG is not
-    monotone; stats.residual_norms records its trajectory.
+    ``op`` provides matvec(v), the whole operator, and for the
+    preconditioner ``n``, ``sigma2``, ``rank_bound`` and kernel_matmat(V),
+    the operator without sigma2 I on an (n, r) block.  The preconditioner
+    is built here, so its cost is part of the solve (stats.precond_seconds).
+    Runs until the unpreconditioned relative residual ||r|| / ||y|| drops
+    below cfg.rel_tolerance or the iteration budget is spent (reported in
+    stats, not raised).  A search direction with p^T A p <= 0 means the
+    operator is not positive definite and stops the solve as diverged.
+    The 2-norm residual of CG is not monotone; stats.residual_norms
+    records its trajectory.
     """
     y = np.asarray(y, dtype=np.float64)
     stats = CgStats()
@@ -116,14 +222,15 @@ def cg_solve(op, y, cfg=CgConfig()):
         stats.converged = True
         return np.zeros_like(y), stats
 
-    inv_diag = None
-    if cfg.preconditioner == "jacobi":
-        d = op.jacobi_diagonal()
-        inv_diag = np.where(d > 0, 1.0 / np.maximum(d, 1e-300), 1.0)
+    precond = None
+    if cfg.preconditioner == "nystrom":
+        t0 = time.perf_counter()
+        precond = _nystrom_preconditioner(op, cfg.rel_tolerance, stats)
+        stats.precond_seconds = time.perf_counter() - t0
 
     x = np.zeros_like(y)
     r = y.copy()
-    z = r * inv_diag if inv_diag is not None else r
+    z = precond(r) if precond is not None else r
     p = z.copy()
     rz = float(r @ z)
     for it in range(1, cfg.max_iters + 1):
@@ -142,7 +249,7 @@ def cg_solve(op, y, cfg=CgConfig()):
         if rn <= cfg.rel_tolerance * ynorm:
             stats.converged = True
             break
-        z = r * inv_diag if inv_diag is not None else r
+        z = precond(r) if precond is not None else r
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -218,14 +325,16 @@ class GpConfig:
 
 
 def _build_backend(cfg, dim):
-    """(grid object for W assembly, grid kernel MVM, half-spacing delta)."""
+    """(grid object for W assembly, grid kernel MVM, half-spacing delta,
+    workspace floats per column of one MVM)."""
     if cfg.grid == "sparse":
         grid = build_sparse_grid(cfg.resolution, dim)
         plan = build_plan(cfg.resolution, dim, cfg.kernel)
-        return grid, lambda v: sg_mvm_batched(plan, v), 2.0 ** -(cfg.resolution + 1)
+        return (grid, lambda v: sg_mvm_batched(plan, v),
+                2.0 ** -(cfg.resolution + 1), plan.workspace_floats)
     lattice = UniformLattice.unit(dim, cfg.dense_count)
     kron = KroneckerToeplitz(cfg.kernel, lattice.counts, lattice.spacings)
-    return lattice, kron.mvm, 0.5 / cfg.dense_count
+    return lattice, kron.mvm, 0.5 / cfg.dense_count, kron.size
 
 
 class GpModel:
@@ -297,11 +406,16 @@ def load_model(path):
     kernel = ProductKernel.from_json(json.dumps(payload["kernel"]))
     sigma2 = payload["kernel"]["sigma2"]
     g = payload["grid"]
+    cg = dict(payload["cg"])
+    # Stored CG settings are provenance only; Jacobi no longer exists, so
+    # files that name it load with today's default.
+    if cg.get("preconditioner") == "jacobi":
+        cg["preconditioner"] = CgConfig.preconditioner
     cfg = GpConfig(
         kernel=kernel, sigma2=sigma2, grid=g["kind"],
         resolution=g["resolution"], dense_count=g["dense_count"],
         rule=payload["rule"], method=payload["method"],
-        cg=CgConfig(**payload["cg"]),
+        cg=CgConfig(**cg),
     )
     grid = (build_sparse_grid(cfg.resolution, g["dim"]) if cfg.grid == "sparse"
             else UniformLattice.unit(g["dim"], cfg.dense_count))
@@ -336,11 +450,11 @@ def fit(config, X, y):
     if config.kernel.dim != dim:
         raise ValueError(f"kernel dim {config.kernel.dim} != data dim {dim}")
 
-    grid, grid_mvm, delta = _build_backend(config, dim)
+    grid, grid_mvm, delta, mvm_floats = _build_backend(config, dim)
     dmap = DomainMap.fit(X, delta)
     W = assemble_W(dmap.forward(X), grid, BaseRule(config.rule),
                    method=config.method)
-    op = SkiOperator(W, grid_mvm, config.sigma2, k0=config.kernel.output_scale)
+    op = SkiOperator(W, grid_mvm, config.sigma2, mvm_floats=mvm_floats)
     alpha, stats = cg_solve(op, y, config.cg)
     if not stats.converged:
         raise CgFailure(

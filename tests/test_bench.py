@@ -327,9 +327,12 @@ class TestGpStudy:
         assert res.metric_rows("log_marginal", grid="exact")
 
     def test_cg_failure_recorded_not_raised(self):
+        # plain CG: with the Nystrom default the sketch captures this 49-point
+        # grid's kernel whole and the solve converges within the budget
         res = run_gp_study(
             [self.small_task()], resolution=3,
-            cg=CgConfig(rel_tolerance=1e-14, max_iters=2))
+            cg=CgConfig(rel_tolerance=1e-14, max_iters=2,
+                        preconditioner="none"))
         (row,) = res.metric_rows("test_rmse", grid="sparse")
         assert row["value"] is None
         (conv,) = res.metric_rows("cg_converged", grid="sparse")

@@ -182,6 +182,10 @@ class TestGpFitPredict:
         assert res.exit_code == 0, res.output
         doc = json.loads(res.stdout)
         assert doc["model"] == str(model) and doc["n_train"] == 250
+        assert doc["config"]["preconditioner"] == "nystrom"
+        assert doc["precond_rank"] > 0 and doc["precond_seconds"] > 0
+        assert doc["precond_iter_estimate"] > 0
+        assert doc["precond_lambda_ratio"] >= 0
 
         pred = tmp_path / "pred.csv"
         res = runner.invoke(main, ["gp", "predict", "--model", str(model),
@@ -222,6 +226,18 @@ class TestGpFitPredict:
             cg_max_iters=2))
         assert res.exit_code == 4
         assert "solver failure" in res.stderr and "stats:" in res.stderr
+
+    def test_preconditioner_flag(self, runner, tmp_path):
+        train = tmp_path / "train.csv"
+        make_train_csv(train, n=60, d=2, seed=4)
+        args = self.fit_args(train, tmp_path / "m.json", sigma2=1e-4,
+                             cg_tol=1e-6)
+        res = runner.invoke(main, args + ["--preconditioner", "none"])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.stdout)
+        assert doc["precond_rank"] == 0 and doc["cg_iterations"] > 0
+        res = runner.invoke(main, args + ["--preconditioner", "jacobi"])
+        assert res.exit_code == 1
 
     def test_predict_dimension_mismatch_exit_1(self, runner, tmp_path):
         train = tmp_path / "train.csv"
@@ -287,6 +303,10 @@ class TestGpStudy:
         assert set(rmse) == {"sparse", "dense"}
         assert all(v < 0.15 for v in rmse.values())
         assert "rmse" in res.stderr
+        ranks = {r["grid"]: r["value"] for r in rows
+                 if r["metric"] == "precond_rank"}
+        assert set(ranks) == {"sparse", "dense"}
+        assert all(v > 0 for v in ranks.values())
 
     def test_csv_study_splits_and_standardizes(self, runner, tmp_path):
         train = tmp_path / "data.csv"

@@ -36,21 +36,25 @@ def small_instance(seed, n=100, ell=3, d=2, sigma2=0.1):
     plan = build_plan(ell, d, kernel)
     X = rng.uniform(0, 1, (n, d))
     W = assemble_W(X, grid)
-    op = SkiOperator(W, lambda v: sg_mvm_batched(plan, v), sigma2,
-                     k0=kernel.output_scale)
+    op = SkiOperator(W, lambda v: sg_mvm_batched(plan, v), sigma2)
     dense = materialize_ski(W, kernel.pairwise(grid.points()), sigma2)
     return rng, op, dense
 
 
 class _DiagOp:
+    """diag(d) as a noise-free operator: sigma^2 = 0, full rank bound."""
+
+    sigma2 = 0.0
+
     def __init__(self, diag):
         self.diag = np.asarray(diag, dtype=np.float64)
+        self.n = self.rank_bound = len(self.diag)
 
     def matvec(self, v):
         return self.diag * v
 
-    def jacobi_diagonal(self):
-        return self.diag.copy()
+    def kernel_matmat(self, V):
+        return self.diag[:, None] * V
 
 
 class TestSkiOperator:
@@ -112,37 +116,47 @@ class TestCg:
                                    atol=1e-6)
 
     def test_budget_exhaustion_reported_not_raised(self):
+        # plain CG: this kernel's grid spectrum falls below roundoff within
+        # 32 eigenvalues, so a Nystrom-preconditioned solve converges within
+        # the two-iteration budget
         rng, op, _ = small_instance(17)
         y = rng.standard_normal(op.n)
         alpha, stats = cg_solve(op, y, CgConfig(rel_tolerance=1e-12,
-                                                max_iters=2))
+                                                max_iters=2,
+                                                preconditioner="none"))
         assert not stats.converged
         assert not stats.diverged
         assert stats.n_iters == 2
         assert np.isfinite(alpha).all()
 
     def test_indefinite_operator_flagged_as_divergence(self):
+        # the sketch core is negative definite: its Cholesky fails, no
+        # preconditioner is built and plain CG reports the divergence
         y = np.ones(3)
         alpha, stats = cg_solve(_DiagOp([-1.0, -1.0, -1.0]), y)
         assert stats.diverged and not stats.converged
+        assert stats.precond_rank == 0
 
-    def test_jacobi_preconditioner_converges_to_same_solution(self):
-        # the row-norm diagonal estimate is rough: on seed 19 the residual
-        # of the first jacobi step jumps to 10.1 ||y|| before CG recovers
-        rng, op, dense = small_instance(19)
+    def test_nystrom_cuts_iterations_and_matches_dense_solve(self):
+        rng, op, dense = small_instance(5, n=400, ell=4, d=3, sigma2=1e-3)
         y = rng.standard_normal(op.n)
-        cfg = CgConfig(rel_tolerance=1e-10, max_iters=500,
-                       preconditioner="jacobi")
-        alpha, stats = cg_solve(op, y, cfg)
-        assert stats.converged
+        cfg = dict(rel_tolerance=1e-10, max_iters=5000)
+        _, plain = cg_solve(op, y, CgConfig(preconditioner="none", **cfg))
+        alpha, stats = cg_solve(op, y, CgConfig(**cfg))
+        assert stats.converged and plain.converged
+        assert 0 < stats.precond_rank <= op.rank_bound
+        assert stats.precond_seconds > 0
+        assert 3 * stats.n_iters <= plain.n_iters
         np.testing.assert_allclose(alpha, np.linalg.solve(dense, y),
-                                   atol=1e-6)
+                                   rtol=0, atol=1e-6)
 
     def test_residual_peak_above_ten_times_rhs_still_converges(self):
-        # CG's residual norm is not monotone: here the first step takes it to
-        # 20 ||y||, and the solve must carry on to the exact solution
+        # CG's residual norm is not monotone: here the first step of plain CG
+        # takes it to 20 ||y||, and the solve must carry on to the exact
+        # solution (a full-rank Nystrom preconditioner would solve it at once)
         y = np.array([0.05, 1.0])
-        alpha, stats = cg_solve(_DiagOp([1.0, 1e-6]), y)
+        alpha, stats = cg_solve(_DiagOp([1.0, 1e-6]), y,
+                                CgConfig(preconditioner="none"))
         assert stats.residual_norms[0] > 10 * np.linalg.norm(y)
         assert stats.converged and not stats.diverged
         assert stats.n_iters == 2
@@ -190,6 +204,8 @@ class TestCg:
             CgConfig(max_iters=0)
         with pytest.raises(ValueError):
             CgConfig(preconditioner="ssor")
+        with pytest.raises(ValueError):
+            CgConfig(preconditioner="jacobi")
 
 
 class TestDomainMap:
@@ -246,6 +262,32 @@ class TestFitPredict:
         K_G = plan_kernel.pairwise(grid.points())
         k11 = materialize_ski(W, K_G, 0.0)[0, 0]
         assert model.alpha[0] == pytest.approx(2.5 / (k11 + 0.5), rel=1e-8)
+        assert model.fit_stats.precond_rank == 1    # capped at n
+
+    def test_fewer_points_than_start_rank(self):
+        # n = 20 < 32 columns: the sketch rank is capped at min(n, |G|)
+        rng = np.random.default_rng(47)
+        X = rng.uniform(0, 1, (20, 2))
+        y = np.sin(3 * X.sum(axis=1))
+        cfg = quick_cfg(2, sigma2=0.01, tol=1e-10)
+        model = fit(cfg, X, y)
+        assert model.fit_stats.precond_rank == 20
+        grid = build_sparse_grid(3, 2)
+        W = assemble_W(model.domain_map.forward(X), grid)
+        Kt = materialize_ski(W, cfg.kernel.pairwise(grid.points()), 0.01)
+        np.testing.assert_allclose(model.alpha, np.linalg.solve(Kt, y),
+                                   rtol=0, atol=1e-8)
+
+    def test_fits_are_bit_identical(self):
+        # the sketch's test matrix is seeded, so repeated fits agree exactly
+        rng = np.random.default_rng(49)
+        X = rng.uniform(0, 1, (300, 3))
+        y = np.cos(X.sum(axis=1)) + 0.05 * rng.standard_normal(300)
+        cfg = quick_cfg(3, ell=4, sigma2=0.0025, tol=1e-6)
+        a, b = fit(cfg, X, y), fit(cfg, X, y)
+        assert a.fit_stats.precond_rank > 0
+        np.testing.assert_array_equal(a.alpha, b.alpha)
+        assert a.fit_stats.residual_norms == b.fit_stats.residual_norms
 
     def test_noiseless_interpolation_recovers_prior_sample(self):
         rng = np.random.default_rng(41)
@@ -336,6 +378,7 @@ class TestFitPredict:
             cg=CgConfig(rel_tolerance=1e-8, max_iters=2000),
         )
         model = fit(cfg, X, y)
+        assert model.fit_stats.precond_rank > 0   # (N, r) lattice MVMs
         rmse = float(np.sqrt(np.mean((model.predict_mean(X) - y) ** 2)))
         assert rmse < 0.2
 
@@ -377,6 +420,22 @@ class TestFitPredict:
                                       model.predict_mean(Xs))
         payload = json.loads(path.read_text())
         assert payload["format"] == "skigrid-gp-1"
+
+    def test_load_maps_jacobi_to_default_preconditioner(self, tmp_path):
+        # files written while Jacobi existed still load and predict the same
+        rng = np.random.default_rng(73)
+        X = rng.uniform(0, 1, (100, 2))
+        model = fit(quick_cfg(2), X, np.sin(X.sum(axis=1)))
+        path = tmp_path / "model.json"
+        model.save(path)
+        payload = json.loads(path.read_text())
+        payload["cg"]["preconditioner"] = "jacobi"
+        path.write_text(json.dumps(payload))
+        loaded = load_model(path)
+        assert loaded.config.cg.preconditioner == CgConfig().preconditioner
+        Xs = rng.uniform(0, 1, (30, 2))
+        np.testing.assert_array_equal(loaded.predict_mean(Xs),
+                                      model.predict_mean(Xs))
 
     def test_load_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "bogus.json"
