@@ -14,10 +14,8 @@ from .bench import (
 )
 from .grids import (
     GridCapExceeded,
-    RectGrid,
     SparseGrid,
     build_sparse_grid,
-    rect_grid_1d,
     sparse_grid_size,
 )
 from .interp import (
@@ -62,7 +60,6 @@ __all__ = [
     "MvmPlan",
     "NaiveDenseKernel",
     "ProductKernel",
-    "RectGrid",
     "SparseGrid",
     "SyntheticTask",
     "UniformLattice",
@@ -80,7 +77,6 @@ __all__ = [
     "load_model",
     "matched_dense_side",
     "naive_kernel_mvm",
-    "rect_grid_1d",
     "run_gp_study",
     "run_interp_accuracy",
     "run_mvm_scaling",

@@ -362,8 +362,7 @@ def matched_dense_side(ell, dim):
     return side
 
 
-def run_interp_accuracy(task, grids=None, rules=("simplicial",), n_eval=200,
-                        parallel=False):
+def run_interp_accuracy(task, grids=None, rules=("simplicial",), n_eval=200):
     """RMS interpolation error per (grid kind, rule, size).
 
     ``grids`` is a list of ("sparse", resolution) / ("dense", side) pairs;
@@ -383,33 +382,21 @@ def run_interp_accuracy(task, grids=None, rules=("simplicial",), n_eval=200,
     Xe = np.random.default_rng([task.seed, 5]).uniform(size=(n_eval, d))
     fe = task.evaluate(Xe)
 
-    def one(kind, size, rule):
+    for kind, size in grids:
         if kind == "sparse":
             grid = build_sparse_grid(size, d)
-            n_points = grid.size
         elif kind == "dense":
             grid = UniformLattice.unit(d, size)
-            n_points = grid.size
         else:
             raise ValueError(f"grid kind must be sparse or dense, got {kind!r}")
-        W = assemble_W(Xe, grid, BaseRule(rule))
-        err = W.apply(task.evaluate(grid.points())) - fe
-        rms = float(np.sqrt(np.mean(err**2)))
-        return kind, size, rule, n_points, rms
-
-    jobs = [(kind, size, rule) for kind, size in grids for rule in rules]
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            done = list(pool.map(lambda j: one(*j), jobs))
-    else:
-        done = [one(*j) for j in jobs]
-    for kind, size, rule, n_points, rms in done:
-        key = {"kind": kind, "size": size, "rule": rule, "d": d,
-               "function": task.function}
-        res.add("grid_points", n_points, unit="points", **key)
-        res.add("rms_error", rms, **key)
+        f_grid = task.evaluate(grid.points())
+        for rule in rules:
+            err = assemble_W(Xe, grid, BaseRule(rule)).apply(f_grid) - fe
+            rms = float(np.sqrt(np.mean(err**2)))
+            key = {"kind": kind, "size": size, "rule": rule, "d": d,
+                   "function": task.function}
+            res.add("grid_points", grid.size, unit="points", **key)
+            res.add("rms_error", rms, **key)
     return res
 
 

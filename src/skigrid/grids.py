@@ -1,4 +1,4 @@
-"""Dyadic rectilinear grids, sparse grids, and their index algebra.
+"""Sparse grids and their index algebra.
 
 The 1-d building block at resolution ``l`` is the set of cell centers
 
@@ -6,11 +6,13 @@ The 1-d building block at resolution ``l`` is the set of cell centers
 
 A d-dimensional rectilinear grid Omega_l (``l`` now a vector) is the tensor
 product of per-dimension center sets, and the sparse grid G(ell, d) is the
-union of all Omega_l with ||l||_1 <= ell.  Points are named exactly by
+union of all Omega_l with ||l||_1 <= ell.  (The lattice Omega_l itself is
+interp.UniformLattice.from_levels(l).)  Points are named exactly by
 integer (level, position) pairs per dimension; floating-point coordinates
-are reconstructed on demand.  Index maps between grids (sparse_injection,
-rect_injection) are integer arithmetic on the canonical order below, never
-a search.
+are reconstructed on demand.  block_layout is the one place the canonical
+block layout below is computed; the index maps between grids
+(sparse_injection, rect_injection) are integer arithmetic on it, never a
+search.
 
 Canonical point order (fixed once, everything downstream relies on it):
 
@@ -40,14 +42,6 @@ KNOWN_SIZE_DISCREPANCY = {"resolution": 4, "dim": 4, "quoted": 796, "computed": 
 
 class GridCapExceeded(RuntimeError):
     """Requested grid would exceed the configured point cap."""
-
-
-def rect_grid_1d(l):
-    """Coordinates of the 2**l cell centers at resolution l, ascending."""
-    if l < 0:
-        raise ValueError(f"resolution must be >= 0, got {l}")
-    i = 2 * np.arange(2**l, dtype=np.int64) + 1
-    return i.astype(np.float64) / 2.0 ** (l + 1)
 
 
 @lru_cache(maxsize=None)
@@ -94,58 +88,13 @@ def _enumerate(resolution, dim):
     return out
 
 
-class RectGrid:
-    """Tensor-product grid Omega_l for a resolution vector l.
-
-    Per-dimension geometry: 2**l_j points, spacing 2**-l_j, first point
-    (offset) at 2**-(l_j + 1).  Point order is row-major in the lattice
-    indices (dimension 0 slowest).
-    """
-
-    def __init__(self, levels):
-        self.levels = tuple(int(l) for l in levels)
-        if any(l < 0 for l in self.levels):
-            raise ValueError(f"negative resolution in {self.levels}")
-        self.dim = len(self.levels)
-        self.shape = tuple(2**l for l in self.levels)
-        self.size = int(np.prod([2**l for l in self.levels], dtype=object))
-        self.spacing = tuple(2.0**-l for l in self.levels)
-        self.offset = tuple(2.0 ** -(l + 1) for l in self.levels)
-
-    def coords_1d(self, j):
-        return rect_grid_1d(self.levels[j])
-
-    def points(self):
-        """All points, shape (size, dim), row-major lattice order."""
-        axes = [self.coords_1d(j) for j in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-
-    def index_pairs(self):
-        """(levels, positions) arrays of shape (size, dim) matching points()."""
-        axes = [2 * np.arange(2**l, dtype=np.int64) + 1 for l in self.levels]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        positions = np.stack([m.ravel() for m in mesh], axis=1)
-        levels = np.broadcast_to(
-            np.asarray(self.levels, dtype=np.int64), positions.shape
-        ).copy()
-        return levels, positions
-
-    def __len__(self):
-        return self.size
-
-    def __repr__(self):
-        return f"RectGrid(levels={self.levels})"
-
-
 class SparseGrid:
     """Sparse grid G(resolution, dim) in canonical enumeration.
 
     Immutable after construction.  ``levels`` and ``positions`` are (N, dim)
-    read-only int arrays in canonical order; ``blocks`` lists the top-level
-    decomposition (i, child subgrid) — child is None when dim == 1.  The
-    canonical index of a point of a component grid Omega_l is closed-form:
-    see rect_injection.
+    read-only int arrays in canonical order; block_layout(resolution, dim)
+    gives the top-level decomposition.  The canonical index of a point of a
+    component grid Omega_l is closed-form: see rect_injection.
     """
 
     def __init__(self, resolution, dim, size_cap=DEFAULT_SIZE_CAP):
@@ -159,21 +108,6 @@ class SparseGrid:
                 f"G({resolution},{dim}) has {self.size} points, cap is {size_cap}"
             )
         self.levels, self.positions = _enumerate(resolution, dim)
-        if dim == 1:
-            sizes = [2**i for i in range(resolution + 1)]
-            self.blocks = [(i, None) for i in range(resolution + 1)]
-        else:
-            sizes = [
-                2**i * sparse_grid_size(resolution - i, dim - 1)
-                for i in range(resolution + 1)
-            ]
-            self.blocks = [
-                (i, build_sparse_grid(resolution - i, dim - 1, size_cap=None))
-                for i in range(resolution + 1)
-            ]
-        self.block_sizes = tuple(sizes)
-        self.block_offsets = tuple(np.concatenate([[0], np.cumsum(sizes)])[:-1])
-        assert self.block_offsets[-1] + self.block_sizes[-1] == self.size
 
     # ---- coordinates ---------------------------------------------------
 
@@ -212,20 +146,6 @@ def build_sparse_grid(resolution, dim, size_cap=DEFAULT_SIZE_CAP):
 # ---- 1-d rank algebra ---------------------------------------------------
 
 
-def sorted_rank_1d(ell, level, position):
-    """Rank (0-based) of the 1-d point (level, position) in coordinate-sorted
-    G(ell, 1).
-
-    The sorted grid is exactly { j / 2**(ell+1) : j = 1..2**(ell+1) - 1 },
-    equally spaced, so the point i/2**(level+1) lands at j = i * 2**(ell-level).
-    """
-    level = np.asarray(level, dtype=np.int64)
-    position = np.asarray(position, dtype=np.int64)
-    if np.any(level > ell):
-        raise ValueError("point is not on G(ell, 1): level exceeds ell")
-    return position * (np.int64(1) << (ell - level)) - 1
-
-
 @lru_cache(maxsize=None)
 def canonical_to_sorted_1d(ell):
     """rank[c] = sorted position of the c-th canonical point of G(ell, 1)."""
@@ -248,7 +168,36 @@ def omega_ranks_in_sorted_1d(i, j):
     return r
 
 
-# ---- injections between canonical enumerations --------------------------
+# ---- block layout and injections between canonical enumerations ---------
+
+
+@lru_cache(maxsize=None)
+def block_layout(resolution, dim):
+    """(offsets, sizes, child_sizes) of the canonical blocks of G(resolution, dim).
+
+    Block i is Omega_i (x) G(resolution - i, dim - 1): ``sizes[i]`` =
+    2**i * ``child_sizes[i]`` rows starting at ``offsets[i]``, with
+    ``child_sizes[i]`` = |G(resolution - i, dim - 1)|, or 1 when dim == 1.
+    Read-only int64 arrays of length resolution + 1.
+    """
+    child = np.array([sparse_grid_size(resolution - i, dim - 1) if dim > 1 else 1
+                      for i in range(resolution + 1)], dtype=np.int64)
+    sizes = np.array([2**i for i in range(resolution + 1)], dtype=np.int64) * child
+    offsets = np.concatenate([[0], np.cumsum(sizes)])[:-1]
+    for a in (offsets, sizes, child):
+        a.flags.writeable = False
+    return offsets, sizes, child
+
+
+def _block_rows(ell, dim, i, inner):
+    """Canonical rows in G(ell, dim) of Omega_i (x) the block-i child points
+    ``inner`` (row-major, Omega_i outer)."""
+    offsets, _, child = block_layout(ell, dim)
+    rows = offsets[i] + (np.arange(2**i, dtype=np.int64) * child[i])[:, None] + inner
+    return rows.ravel()
+
+
+_POINT = np.zeros(1, dtype=np.int64)  # the lone child point of a 1-d block
 
 
 @lru_cache(maxsize=None)
@@ -261,26 +210,14 @@ def sparse_injection(ell_small, ell_big, dim):
     """
     if ell_small > ell_big:
         raise ValueError(f"G({ell_small},{dim}) not contained in G({ell_big},{dim})")
-    if dim == 1:
-        out = np.arange(2 ** (ell_small + 1) - 1, dtype=np.int64)
-    else:
-        parts = []
-        for i in range(ell_small + 1):
-            inner = sparse_injection(ell_small - i, ell_big - i, dim - 1)
-            m_big = sparse_grid_size(ell_big - i, dim - 1)
-            off = _block_offset(ell_big, dim, i)
-            rows = off + (np.arange(2**i, dtype=np.int64) * m_big)[:, None] + inner[None, :]
-            parts.append(rows.ravel())
-        out = np.concatenate(parts)
+    out = np.concatenate([
+        _block_rows(ell_big, dim, i,
+                    sparse_injection(ell_small - i, ell_big - i, dim - 1)
+                    if dim > 1 else _POINT)
+        for i in range(ell_small + 1)
+    ])
     out.flags.writeable = False
     return out
-
-
-@lru_cache(maxsize=None)
-def _block_offset(ell, dim, i):
-    if dim == 1:
-        return 2**i - 1
-    return sum(2**t * sparse_grid_size(ell - t, dim - 1) for t in range(i))
 
 
 @lru_cache(maxsize=None)
@@ -294,72 +231,16 @@ def rect_injection(levels, ell):
     if sum(levels) > ell:
         raise ValueError(f"Omega_{levels} not contained in G({ell},{dim})")
     l0 = levels[0]
-    if dim == 1:
-        out = 2**l0 - 1 + np.arange(2**l0, dtype=np.int64)
-    else:
-        inner = rect_injection(levels[1:], ell - l0)
-        m = sparse_grid_size(ell - l0, dim - 1)
-        off = _block_offset(ell, dim, l0)
-        rows = off + (np.arange(2**l0, dtype=np.int64) * m)[:, None] + inner[None, :]
-        out = rows.ravel()
+    inner = rect_injection(levels[1:], ell - l0) if dim > 1 else _POINT
+    out = _block_rows(ell, dim, l0, inner)
     out.flags.writeable = False
     return out
 
 
-# ---- generic selection maps ---------------------------------------------
-
-
-class SelectionMap:
-    """Injection of a smaller grid U into a larger grid V by point identity.
-
-    target_index[u] is the V-index of U's u-th point.  select() gathers,
-    embed() scatters (zero elsewhere); embed-then-select is the identity.
-    """
-
-    def __init__(self, from_size, to_size, target_index):
-        target_index = np.asarray(target_index, dtype=np.int64)
-        if len(target_index) != from_size:
-            raise ValueError("target_index length must equal from_size")
-        if from_size and (len(np.unique(target_index)) != from_size
-                          or target_index.min() < 0 or target_index.max() >= to_size):
-            raise ValueError("target_index must be an injection into [0, to_size)")
-        self.from_size = from_size
-        self.to_size = to_size
-        self.target_index = target_index
-
-    def select(self, v):
-        return np.asarray(v)[..., self.target_index]
-
-    def embed(self, u):
-        u = np.asarray(u)
-        out = np.zeros(u.shape[:-1] + (self.to_size,), dtype=u.dtype)
-        out[..., self.target_index] = u
-        return out
-
-
-def selection_map(U, V):
-    """SelectionMap from grid U into grid V (U must be a subset of V).
-
-    Covers the pairs the MVM plan uses: sparse-in-sparse and rect-in-sparse,
-    both closed-form injections.
-    """
-    if isinstance(V, SparseGrid) and U.dim == V.dim:
-        if isinstance(U, SparseGrid):
-            idx = sparse_injection(U.resolution, V.resolution, U.dim)
-            return SelectionMap(U.size, V.size, idx)
-        if isinstance(U, RectGrid):
-            idx = rect_injection(U.levels, V.resolution)
-            return SelectionMap(U.size, V.size, idx)
-    raise ValueError(f"no selection map from {U!r} into {V!r}")
-
-
 def dump_points_csv(grid, path):
-    """Debug dump: one row per point (index, levels, positions, coordinates)."""
-    if isinstance(grid, RectGrid):
-        levels, positions = grid.index_pairs()
-    else:
-        levels, positions = grid.levels, grid.positions
-    coords = positions / np.exp2(levels + 1)
+    """Debug dump of a SparseGrid: one row per point (index, levels,
+    positions, coordinates), canonical order."""
+    levels, positions, coords = grid.levels, grid.positions, grid.points()
     dim = coords.shape[1]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

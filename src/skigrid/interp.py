@@ -27,7 +27,7 @@ from itertools import product
 import numpy as np
 import scipy.sparse
 
-from .grids import RectGrid, SparseGrid, build_sparse_grid, rect_injection
+from .grids import SparseGrid, build_sparse_grid, rect_injection
 
 RULE_KINDS = ("simplicial", "linear", "cubic")
 
@@ -366,8 +366,8 @@ def assemble_W(X, grid, rule=BaseRule(), method="combination"):
     """Interpolation matrix for query points X over a sparse grid or lattice.
 
     X is (n, d); grid is a SparseGrid (rows combined across component
-    grids per `method`) or a UniformLattice/RectGrid (single-grid rows,
-    method ignored).  Row i holds the weights of x_i.
+    grids per `method`) or a UniformLattice (single-grid rows, method
+    ignored).  Row i holds the weights of x_i.
     """
     rule = _as_rule(rule)
     X = np.asarray(X, dtype=np.float64)
@@ -378,10 +378,8 @@ def assemble_W(X, grid, rule=BaseRule(), method="combination"):
     n, d = X.shape
     fn = _corner_fn(rule.kind)
 
-    if isinstance(grid, RectGrid):
-        grid = UniformLattice.from_levels(grid.levels)
     if not isinstance(grid, (SparseGrid, UniformLattice)):
-        raise TypeError(f"grid must be SparseGrid, RectGrid or UniformLattice, "
+        raise TypeError(f"grid must be SparseGrid or UniformLattice, "
                         f"got {type(grid).__name__}")
     if grid.dim != d:
         raise ValueError(f"points have dim {d}, grid has dim {grid.dim}")
@@ -395,19 +393,21 @@ def assemble_W(X, grid, rule=BaseRule(), method="combination"):
              rect_injection(levels, grid.resolution), coeff)
             for levels, coeff in _components(grid.resolution, d, method)
         ]
-    row_parts, col_parts, val_parts = [], [], []
+    # Every component gives each point the same number of corners, so the
+    # rows of W are the rows of the (n, K) corner arrays side by side, in
+    # component-then-corner order: CSR with indptr = 0, K, 2K, ...
+    col_parts, val_parts = [], []
     for lat, columns, coeff in parts:
         corners, w = fn(X, lat)
-        k = corners.shape[1]
         cols = np.ravel_multi_index(tuple(corners.reshape(-1, d).T), lat.shape)
-        row_parts.append(np.repeat(np.arange(n, dtype=np.int64), k))
-        col_parts.append(cols if columns is None else columns[cols])
-        val_parts.append(coeff * w.ravel())
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate(val_parts),
-         (np.concatenate(row_parts), np.concatenate(col_parts))),
+        col_parts.append((cols if columns is None else columns[cols]).reshape(w.shape))
+        val_parts.append(coeff * w)
+    cols, vals = np.hstack(col_parts), np.hstack(val_parts)
+    K = cols.shape[1]
+    mat = scipy.sparse.csr_matrix(
+        (vals.ravel(), cols.ravel(), np.arange(0, n * K + 1, K)),
         shape=(n, grid.size),
-    ).tocsr()
+    )
     return WeightMatrix(mat, rule, method, len(parts), d)
 
 

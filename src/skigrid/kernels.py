@@ -12,7 +12,6 @@ grid the product structure gives a Kronecker product of per-dimension
 Toeplitz factors, multiplied mode by mode.
 """
 
-import hashlib
 import json
 
 import numpy as np
@@ -87,14 +86,6 @@ class ProductKernel:
         if payload.get("family", "rbf") != "rbf":
             raise ValueError(f"unsupported kernel family {payload.get('family')!r}")
         return cls(payload["lengthscales"], payload.get("output_scale", 1.0))
-
-    def hash_key(self):
-        """Stable digest of the hyperparameters, for plan/spectra caches."""
-        h = hashlib.sha256()
-        h.update(self.family.encode())
-        h.update(np.ascontiguousarray(self.lengthscales).tobytes())
-        h.update(np.float64(self.output_scale).tobytes())
-        return h.hexdigest()[:16]
 
     def __repr__(self):
         return (f"ProductKernel(lengthscales={self.lengthscales.tolist()}, "
@@ -184,7 +175,7 @@ class KroneckerToeplitz:
 
     Lattice geometry is (count, spacing) per dimension — offsets are
     irrelevant for a stationary kernel.  Point order is row-major with
-    dimension 0 slowest, matching RectGrid.points().
+    dimension 0 slowest, matching UniformLattice.points().
     """
 
     def __init__(self, kernel, counts, spacings):
@@ -214,16 +205,3 @@ class KroneckerToeplitz:
             x = np.ascontiguousarray(T.matmat(X).T).ravel()
         out = x.reshape(r, self.size).T * self.kernel.output_scale
         return out[:, 0] if single else out
-
-
-def dense_grid_mvm(kernel, levels, v):
-    """Kernel MVM on the rectilinear grid Omega_levels (dyadic lattice).
-
-    Per-dimension geometry: 2**l_j points with spacing 2**-l_j.  Cost is one
-    Toeplitz multiply per dimension over the whole lattice.
-    """
-    levels = [int(l) for l in levels]
-    op = KroneckerToeplitz(
-        kernel, [2**l for l in levels], [2.0**-l for l in levels]
-    )
-    return op.mvm(v)

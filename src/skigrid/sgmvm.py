@@ -37,14 +37,13 @@ applies the kernel's output_scale exactly once, at the top level.
 """
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .grids import (
     GridCapExceeded,
-    SelectionMap,
+    block_layout,
     build_sparse_grid,
     canonical_to_sorted_1d,
     omega_ranks_in_sorted_1d,
@@ -54,10 +53,6 @@ from .grids import (
 from .kernels import toeplitz_from_grid
 
 DEFAULT_NAIVE_CAP = 3 * 10**4
-
-
-class PlanKernelMismatch(RuntimeError):
-    """The plan's cached spectra were built for different hyperparameters."""
 
 
 # ---- naive oracle --------------------------------------------------------
@@ -86,16 +81,6 @@ def naive_kernel_mvm(grid, kernel, v, point_cap=DEFAULT_NAIVE_CAP):
 
 
 # ---- shared plan ---------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _block_layout(a, dp):
-    """(offsets, block_sizes, child_sizes) for the P3 blocks of G(a, dp)."""
-    child = np.array([sparse_grid_size(a - i, dp - 1) if dp > 1 else 1
-                      for i in range(a + 1)], dtype=np.int64)
-    bs = np.array([2**i for i in range(a + 1)], dtype=np.int64) * child
-    offs = np.concatenate([[0], np.cumsum(bs)])[:-1]
-    return offs, bs, child
 
 
 class _Level(NamedTuple):
@@ -128,8 +113,8 @@ class MvmPlan:
 
     Holds one Toeplitz operator per (original dimension, level) — exactly
     dim * (resolution + 1) kernel sub-problems — plus the workspace layout
-    and index maps of the batched sweep.  Immutable except through
-    refresh(), which swaps the Toeplitz operators and nothing else.
+    and index maps of the batched sweep.  Built once for one kernel and
+    immutable after.
     """
 
     def __init__(self, resolution, dim, kernel, size_cap=None):
@@ -144,7 +129,6 @@ class MvmPlan:
         self.dim = int(dim)
         self.grid = build_sparse_grid(resolution, dim, size_cap=size_cap)
         self.kernel = kernel
-        self.kernel_hash = kernel.hash_key()
         self.toeplitz = {
             (axis, lev): toeplitz_from_grid(kernel, lev, axis)
             for axis in range(dim)
@@ -207,8 +191,9 @@ class MvmPlan:
                     if a < i:
                         continue
                     u = units[(a, dp)] // g
-                    m = sparse_grid_size(a - i, dp - 1)
-                    row = offset[(a, dp)] // g + int(_block_layout(a, dp)[0][i]) * u
+                    offs, _, child = block_layout(a, dp)
+                    m = int(child[i])
+                    row = offset[(a, dp)] // g + int(offs[i]) * u
                     block.append(row + p * (m * u) + np.arange(m * u))
                     crow = (offset[(a - i, dp - 1)] // g
                             + np.arange(m)[:, None] * (units[(a - i, dp - 1)] // g))
@@ -237,54 +222,6 @@ class MvmPlan:
                 prev_start = start
             self._levels[dp] = tuple(levels)
 
-    # -- bookkeeping surface ----------------------------------------------
-
-    @property
-    def n_kernel_subproblems(self):
-        return len(self.toeplitz)
-
-    def subgrid(self, a, dp):
-        return build_sparse_grid(a, dp, size_cap=None)
-
-    def selection_maps(self):
-        """Yield every stored selection map as a checkable SelectionMap."""
-        for a in range(self.resolution + 1):
-            for i in range(a + 1):
-                for j in range(i, a + 1):
-                    yield SelectionMap(
-                        2**i, 2 ** (j + 1) - 1, omega_ranks_in_sorted_1d(i, j)
-                    )
-        for dp in range(2, self.dim + 1):
-            for a in range(self.resolution + 1):
-                for i in range(a + 1):
-                    for j in range(i, a + 1):
-                        yield SelectionMap(
-                            sparse_grid_size(a - j, dp - 1),
-                            sparse_grid_size(a - i, dp - 1),
-                            sparse_injection(a - j, a - i, dp - 1),
-                        )
-
-    def refresh(self, kernel):
-        """Swap hyperparameters, rebuilding only the Toeplitz spectra."""
-        if getattr(kernel, "dim", None) != self.dim:
-            raise PlanKernelMismatch(
-                f"plan is for dim={self.dim}, kernel has dim={getattr(kernel, 'dim', None)}"
-            )
-        self.kernel = kernel
-        self.kernel_hash = kernel.hash_key()
-        self.toeplitz = {
-            (axis, lev): toeplitz_from_grid(kernel, lev, axis)
-            for axis in range(self.dim)
-            for lev in range(self.resolution + 1)
-        }
-
-    def check_kernel(self, kernel):
-        if kernel is not None and kernel.hash_key() != self.kernel_hash:
-            raise PlanKernelMismatch(
-                "plan spectra were built for different kernel hyperparameters; "
-                "call refresh() first"
-            )
-
 
 def build_plan(resolution, dim, kernel, size_cap=None):
     """Build the MVM plan for G(resolution, dim) under the given kernel."""
@@ -304,7 +241,7 @@ def _mvm_recursive(plan, a, dp, R):
         S[ranks] = R
         return T.matmat(S)[ranks]
 
-    offs, bs, child = _block_layout(a, dp)
+    offs, bs, child = block_layout(a, dp)
     r = R.shape[1]
     Abar, Bbar = [], []
     for i in range(a + 1):
@@ -345,9 +282,8 @@ def _mvm_recursive(plan, a, dp, R):
     return U
 
 
-def sg_mvm(plan, v, kernel=None):
+def sg_mvm(plan, v):
     """u = K v via the recursive algorithm.  v is (N,) or (N, r)."""
-    plan.check_kernel(kernel)
     v = np.asarray(v, dtype=np.float64)
     single = v.ndim == 1
     R = v.reshape(len(v), -1)
@@ -361,7 +297,7 @@ def sg_mvm(plan, v, kernel=None):
 # ---- iterative (batched) form ---------------------------------------------
 
 
-def sg_mvm_batched(plan, V, kernel=None):
+def sg_mvm_batched(plan, V):
     """u = K V with all sub-multiplies sharing a kernel sub-problem batched.
 
     Column-wise identical to sg_mvm up to roundoff.  V is (N,) or (N, r).
@@ -378,7 +314,6 @@ def sg_mvm_batched(plan, V, kernel=None):
     and the bottom-up Bbar sums telescope the other way, so neither needs
     a loop over pairs of levels.
     """
-    plan.check_kernel(kernel)
     V = np.asarray(V, dtype=np.float64)
     single = V.ndim == 1
     X = V.reshape(len(V), -1)

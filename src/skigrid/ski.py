@@ -361,6 +361,10 @@ class GpModel:
         Xs = np.asarray(Xs, dtype=np.float64)
         if Xs.ndim != 2:
             raise ValueError("Xs must be (m, d)")
+        d = len(self.domain_map.lo)
+        if Xs.shape[1] != d:
+            raise ValueError(f"Xs has {Xs.shape[1]} columns; the model was "
+                             f"fitted on {d}")
         U = self.domain_map.forward(Xs)
         Ws = assemble_W(U, self.grid, BaseRule(self.config.rule),
                         method=self.config.method)

@@ -279,13 +279,6 @@ class TestInterpAccuracy:
                 for e in (2, 4)]
         assert errs[1] < errs[0]
 
-    def test_parallel_matches_sequential(self):
-        task = SyntheticTask("aniso_cos", 2, seed=12)
-        grids = [("sparse", 2), ("sparse", 3), ("dense", 4)]
-        a = run_interp_accuracy(task, grids=grids)
-        b = run_interp_accuracy(task, grids=grids, parallel=True)
-        assert a.rows == b.rows
-
     def test_bad_grid_kind(self):
         with pytest.raises(ValueError, match="sparse or dense"):
             run_interp_accuracy(SyntheticTask("cos_l1", 2),

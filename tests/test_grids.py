@@ -1,4 +1,6 @@
-"""Grid construction, sizes, canonical order, and selection-map algebra."""
+"""Grid construction, sizes, canonical block layout, and injection algebra."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -8,18 +10,21 @@ from hypothesis import strategies as st
 from skigrid import grids
 from skigrid.grids import (
     GridCapExceeded,
-    RectGrid,
     SparseGrid,
+    block_layout,
     build_sparse_grid,
     canonical_to_sorted_1d,
     omega_ranks_in_sorted_1d,
-    rect_grid_1d,
     rect_injection,
-    selection_map,
-    sorted_rank_1d,
     sparse_grid_size,
     sparse_injection,
 )
+from skigrid.interp import UniformLattice
+
+
+def omega_1d(l):
+    """Coordinates of Omega_l, the 2**l cell centers at resolution l."""
+    return UniformLattice.from_levels((l,)).coords_1d(0)
 
 
 def brute_force_point_set(resolution, dim):
@@ -90,13 +95,13 @@ class TestSizes:
 
 class TestRectGrid1d:
     def test_examples(self):
-        assert rect_grid_1d(0).tolist() == [0.5]
-        assert rect_grid_1d(1).tolist() == [0.25, 0.75]
-        assert rect_grid_1d(2).tolist() == [0.125, 0.375, 0.625, 0.875]
+        assert omega_1d(0).tolist() == [0.5]
+        assert omega_1d(1).tolist() == [0.25, 0.75]
+        assert omega_1d(2).tolist() == [0.125, 0.375, 0.625, 0.875]
 
     @given(st.integers(min_value=0, max_value=10))
     def test_length_and_order(self, l):
-        g = rect_grid_1d(l)
+        g = omega_1d(l)
         assert len(g) == 2**l
         assert np.all(np.diff(g) > 0)
         assert g[0] > 0 and g[-1] < 1
@@ -123,19 +128,29 @@ class TestCanonicalOrder:
             small.points(), big.points()[: small.size]
         )
 
-    @pytest.mark.parametrize("resolution,dim", [(3, 2), (2, 3), (4, 3)])
+    @pytest.mark.parametrize("resolution,dim", [(3, 1), (3, 2), (2, 3), (4, 3)])
     def test_block_structure(self, resolution, dim):
         g = build_sparse_grid(resolution, dim)
-        assert sum(g.block_sizes) == g.size
-        for (i, child), off, sz in zip(g.blocks, g.block_offsets, g.block_sizes):
-            assert sz == 2**i * child.size
+        layout = block_layout(resolution, dim)
+        assert not any(a.flags.writeable for a in layout)
+        offsets, sizes, child_sizes = layout
+        np.testing.assert_array_equal(offsets, np.cumsum(sizes) - sizes)
+        assert offsets[-1] + sizes[-1] == g.size
+        for i in range(resolution + 1):
+            off, sz = offsets[i], sizes[i]
+            assert sz == 2**i * child_sizes[i]
             lev = g.levels[off : off + sz]
             pos = g.positions[off : off + sz]
             assert np.all(lev[:, 0] == i)
-            # outer index: Omega_i ascending, each repeated child.size times
-            expect_outer = np.repeat(2 * np.arange(2**i) + 1, child.size)
+            # outer index: Omega_i ascending, each repeated child-size times
+            expect_outer = np.repeat(2 * np.arange(2**i) + 1, child_sizes[i])
             np.testing.assert_array_equal(pos[:, 0], expect_outer)
+            if dim == 1:
+                assert child_sizes[i] == 1
+                continue
             # inner index: child canonical order, tiled
+            child = build_sparse_grid(resolution - i, dim - 1)
+            assert child_sizes[i] == child.size
             np.testing.assert_array_equal(
                 lev[:, 1:], np.tile(child.levels, (2**i, 1))
             )
@@ -170,15 +185,16 @@ class TestNesting:
 
 class TestSortedRank1d:
     def test_examples(self):
-        assert sorted_rank_1d(2, 0, 1) == 3
-        assert sorted_rank_1d(2, 2, 1) == 0
-        assert sorted_rank_1d(3, 1, 3) == 11
+        # canonical 1-d index of (level l, position i) is 2**l - 1 + (i - 1)//2
+        assert canonical_to_sorted_1d(2)[0] == 3  # (0, 1) is 4/8
+        assert canonical_to_sorted_1d(2)[3] == 0  # (2, 1) is 1/8
+        assert canonical_to_sorted_1d(3)[2] == 11  # (1, 3) is 12/16
 
     @pytest.mark.parametrize("ell", range(7))
     def test_matches_argsort(self, ell):
         g = build_sparse_grid(ell, 1)
         coords = g.points()[:, 0]
-        ranks = sorted_rank_1d(ell, g.levels[:, 0], g.positions[:, 0])
+        ranks = canonical_to_sorted_1d(ell)
         np.testing.assert_array_equal(np.argsort(ranks), np.argsort(coords))
         assert sorted(ranks) == list(range(g.size))
 
@@ -195,30 +211,31 @@ class TestSortedRank1d:
             for i in range(j + 1):
                 big = np.arange(1, 2 ** (j + 1)) / 2 ** (j + 1)
                 got = big[omega_ranks_in_sorted_1d(i, j)]
-                np.testing.assert_array_equal(got, rect_grid_1d(i))
+                np.testing.assert_array_equal(got, omega_1d(i))
 
 
 class TestSelectionMaps:
     def test_example_5_into_17(self):
-        sm = selection_map(build_sparse_grid(1, 2), build_sparse_grid(2, 2))
-        assert sm.from_size == 5 and sm.to_size == 17
-        assert len(set(sm.target_index.tolist())) == 5
+        idx = sparse_injection(1, 2, 2)
+        assert len(idx) == 5 and idx.max() < 17
+        assert len(set(idx.tolist())) == 5
 
     def test_identity(self):
-        g = build_sparse_grid(2, 2)
-        sm = selection_map(g, g)
-        np.testing.assert_array_equal(sm.target_index, np.arange(17))
+        np.testing.assert_array_equal(sparse_injection(2, 2, 2), np.arange(17))
 
     def test_omega0_into_g21(self):
-        sm = selection_map(RectGrid([0]), build_sparse_grid(2, 1))
+        idx = rect_injection((0,), 2)
         big = build_sparse_grid(2, 1).points()[:, 0]
-        assert big[sm.target_index[0]] == 0.5
+        assert big[idx[0]] == 0.5
 
     def test_select_then_embed_identity(self):
         rng = np.random.default_rng(1)
-        sm = selection_map(build_sparse_grid(2, 3), build_sparse_grid(4, 3))
-        u = rng.standard_normal(sm.from_size)
-        np.testing.assert_array_equal(sm.select(sm.embed(u)), u)
+        idx = sparse_injection(2, 4, 3)
+        u = rng.standard_normal(len(idx))
+        v = np.zeros(sparse_grid_size(4, 3))
+        v[idx] = u
+        np.testing.assert_array_equal(v[idx], u)
+        assert np.count_nonzero(v) == len(idx)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_recursive_injection_matches_key_matching(self, dim):
@@ -240,7 +257,10 @@ class TestSelectionMaps:
         ell = sum(levels) + slack
         big = build_sparse_grid(ell, len(levels))
         idx = rect_injection(tuple(levels), ell)
-        lev, pos = RectGrid(levels).index_pairs()
+        # Omega_levels row-major: odd positions per axis, dimension 0 slowest
+        axes = [range(1, 2 ** (l + 1), 2) for l in levels]
+        pos = np.array(list(itertools.product(*axes)), dtype=np.int64)
+        lev = np.broadcast_to(np.array(levels, dtype=np.int64), pos.shape)
         assert len(np.unique(idx)) == len(idx)
         np.testing.assert_array_equal(big.levels[idx], lev)
         np.testing.assert_array_equal(big.positions[idx], pos)
@@ -248,16 +268,16 @@ class TestSelectionMaps:
     def test_coordinate_agreement(self):
         small = build_sparse_grid(2, 3)
         big = build_sparse_grid(4, 3)
-        sm = selection_map(small, big)
-        np.testing.assert_allclose(big.points()[sm.target_index], small.points())
+        idx = sparse_injection(2, 4, 3)
+        np.testing.assert_allclose(big.points()[idx], small.points())
 
     def test_not_a_subset_raises(self):
-        with pytest.raises((KeyError, ValueError)):
-            selection_map(build_sparse_grid(3, 2), build_sparse_grid(2, 2))
-        with pytest.raises((KeyError, ValueError)):
-            selection_map(RectGrid([1]), RectGrid([2]))
         with pytest.raises(ValueError):
-            selection_map(RectGrid([2, 1]), build_sparse_grid(2, 2))
+            sparse_injection(3, 2, 2)
+        with pytest.raises(ValueError):
+            rect_injection((3,), 2)
+        with pytest.raises(ValueError):
+            rect_injection((2, 1), 2)
 
 
 class TestCaps:

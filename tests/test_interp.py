@@ -1,5 +1,6 @@
 """Interpolation rules: hand-traced cells, partition of unity, exactness."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skigrid.grids import RectGrid, build_sparse_grid
+from skigrid.grids import build_sparse_grid
 from skigrid.interp import (
     BaseRule,
     UniformLattice,
@@ -31,10 +32,12 @@ def lattice_interp(row, lat, f):
 
 class TestUniformLattice:
     def test_from_levels_matches_rect_grid(self):
-        lat = UniformLattice.from_levels((2, 1, 0))
-        rg = RectGrid((2, 1, 0))
-        np.testing.assert_allclose(lat.points(), rg.points())
-        assert lat.shape == rg.shape
+        # Omega_l: 2**l_j odd dyadics (2i+1)/2**(l_j+1) per axis, row-major
+        levels = (2, 1, 0)
+        lat = UniformLattice.from_levels(levels)
+        axes = [[(2 * i + 1) / 2 ** (l + 1) for i in range(2**l)] for l in levels]
+        np.testing.assert_array_equal(lat.points(), list(itertools.product(*axes)))
+        assert lat.shape == (4, 2, 1)
 
     def test_unit_lattice_is_cell_centred(self):
         lat = UniformLattice.unit(2, 3)
@@ -375,10 +378,8 @@ class TestAssembleW:
     def test_rect_paths_interpolate_lattice_samples(self):
         rng = np.random.default_rng(31)
         f = lambda P: np.sin(3 * P[:, 0]) + P[:, 1]
-        for grid in (RectGrid((2, 3)), UniformLattice.unit(2, 5)):
-            lat = (UniformLattice.from_levels(grid.levels)
-                   if isinstance(grid, RectGrid) else grid)
-            W = assemble_W(lat.points(), grid, BaseRule("linear"))
+        for lat in (UniformLattice.from_levels((2, 3)), UniformLattice.unit(2, 5)):
+            W = assemble_W(lat.points(), lat, BaseRule("linear"))
             # querying the lattice points themselves returns the samples
             np.testing.assert_allclose(
                 W.apply(f(lat.points())), f(lat.points()), atol=1e-12

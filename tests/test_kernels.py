@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skigrid.grids import RectGrid, rect_grid_1d
+from skigrid.interp import UniformLattice
 from skigrid.kernels import (
     KroneckerToeplitz,
     ProductKernel,
     SymmetricToeplitz,
-    dense_grid_mvm,
     toeplitz_from_grid,
     toeplitz_on_lattice,
 )
@@ -20,6 +19,12 @@ from skigrid.kernels import (
 
 def rel_err(got, want):
     return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
+
+
+def lattice_mvm(kernel, levels, v):
+    """Kernel MVM on the dyadic lattice Omega_levels."""
+    lat = UniformLattice.from_levels(levels)
+    return KroneckerToeplitz(kernel, lat.counts, lat.spacings).mvm(v)
 
 
 class TestKernelEval:
@@ -58,12 +63,6 @@ class TestKernelEval:
         k2 = ProductKernel.from_json(k.to_json(sigma2=0.01))
         np.testing.assert_array_equal(k.lengthscales, k2.lengthscales)
         assert k2.output_scale == 3.0
-
-    def test_hash_tracks_hypers(self):
-        a = ProductKernel([0.5, 0.5]).hash_key()
-        b = ProductKernel([0.5, 0.50001]).hash_key()
-        c = ProductKernel([0.5, 0.5]).hash_key()
-        assert a == c and a != b
 
 
 class TestSymmetricToeplitz:
@@ -137,16 +136,16 @@ class TestToeplitzFromGrid:
 class TestDenseGridMvm:
     def test_all_zero_levels_scalar(self):
         k = ProductKernel([0.5, 0.5], output_scale=2.0)
-        np.testing.assert_allclose(dense_grid_mvm(k, (0, 0), np.array([3.0])),
+        np.testing.assert_allclose(lattice_mvm(k, (0, 0), np.array([3.0])),
                                    [6.0], rtol=1e-14)
 
     def test_level_11_against_dense(self):
         rng = np.random.default_rng(8)
         k = ProductKernel([0.4, 1.1], output_scale=0.9)
         v = rng.standard_normal(4)
-        P = RectGrid([1, 1]).points()
+        P = UniformLattice.from_levels((1, 1)).points()
         want = k.pairwise(P) @ v
-        assert rel_err(dense_grid_mvm(k, (1, 1), v), want) <= 1e-13
+        assert rel_err(lattice_mvm(k, (1, 1), v), want) <= 1e-13
 
     def test_separability_rank_one(self):
         rng = np.random.default_rng(9)
@@ -156,7 +155,7 @@ class TestDenseGridMvm:
         T1 = toeplitz_on_lattice(k, 0, 4, 2.0**-2)
         T2 = toeplitz_on_lattice(k, 1, 8, 2.0**-3)
         want = 1.5 * np.kron(T1.matvec(a), T2.matvec(b))
-        assert rel_err(dense_grid_mvm(k, (2, 3), v), want) <= 1e-12
+        assert rel_err(lattice_mvm(k, (2, 3), v), want) <= 1e-12
 
     @pytest.mark.parametrize(
         "levels", [(3,), (8,), (2, 2), (5, 3), (1, 2, 3), (2, 2, 2, 2)]
@@ -165,10 +164,10 @@ class TestDenseGridMvm:
         rng = np.random.default_rng(hash(levels) % 2**32)
         d = len(levels)
         k = ProductKernel(rng.uniform(0.1, 2.0, size=d), rng.uniform(0.5, 2.0))
-        grid = RectGrid(levels)
+        grid = UniformLattice.from_levels(levels)
         v = rng.standard_normal(grid.size)
         want = k.pairwise(grid.points()) @ v
-        assert rel_err(dense_grid_mvm(k, levels, v), want) <= 1e-10
+        assert rel_err(lattice_mvm(k, levels, v), want) <= 1e-10
 
     def test_matrix_rhs_matches_columns(self):
         rng = np.random.default_rng(10)
@@ -195,7 +194,7 @@ class TestDenseGridMvm:
     def test_size_mismatch(self):
         k = ProductKernel([1.0, 1.0])
         with pytest.raises(ValueError):
-            dense_grid_mvm(k, (1, 1), np.ones(5))
+            lattice_mvm(k, (1, 1), np.ones(5))
 
 
 class TestPsd:
@@ -211,7 +210,7 @@ class TestPsd:
 
     def test_grid_kernel_matrix_psd(self):
         k = ProductKernel([0.2, 0.5])
-        P = RectGrid([3, 3]).points()
+        P = UniformLattice.from_levels((3, 3)).points()
         w = np.linalg.eigvalsh(k.pairwise(P))
         assert w.min() >= -1e-8 * np.trace(k.pairwise(P))
 
@@ -230,6 +229,7 @@ def test_k1d_matches_sorted_grid_spacing():
     k = ProductKernel([0.4])
     ell = 3
     T = toeplitz_from_grid(k, ell)
-    pts = rect_grid_1d(ell)  # any equispaced subset shares the spacing ratio
+    # any equispaced subset shares the spacing ratio
+    pts = UniformLattice.from_levels((ell,)).coords_1d(0)
     assert T.n == 2 ** (ell + 1) - 1
     assert T.first_column[2] == pytest.approx(k.k1d(0, pts[1] - pts[0]), rel=1e-14)

@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skigrid.grids import GridCapExceeded, build_sparse_grid
+from skigrid.grids import (
+    GridCapExceeded,
+    build_sparse_grid,
+    omega_ranks_in_sorted_1d,
+    sparse_grid_size,
+    sparse_injection,
+)
 from skigrid.kernels import ProductKernel
 from skigrid.sgmvm import (
     NaiveDenseKernel,
-    PlanKernelMismatch,
     build_plan,
     naive_kernel_mvm,
     sg_mvm,
@@ -161,62 +166,33 @@ class TestPlan:
         # one Toeplitz factor per (dimension, level)
         for ell, d in [(0, 1), (3, 2), (2, 4)]:
             plan = build_plan(ell, d, ProductKernel(lengthscales=np.full(d, 0.5)))
-            assert plan.n_kernel_subproblems == d * (ell + 1)
+            assert sorted(plan.toeplitz) == [
+                (axis, lev) for axis in range(d) for lev in range(ell + 1)]
 
     def test_selection_maps_roundtrip(self):
-        plan = build_plan(3, 3, ProductKernel(lengthscales=np.full(3, 0.5)))
-        count = 0
-        for sm in plan.selection_maps():
-            x = np.arange(1.0, sm.from_size + 1)
-            np.testing.assert_array_equal(sm.select(sm.embed(x)), x)
-            count += 1
-        assert count > 0
+        # the index maps the recursive multiply moves blocks through are
+        # injections: embed then select is the identity
+        ell, dim = 3, 3
+        maps = [(2 ** (j + 1) - 1, omega_ranks_in_sorted_1d(i, j))
+                for a in range(ell + 1) for i in range(a + 1)
+                for j in range(i, a + 1)]
+        maps += [(sparse_grid_size(a - i, dp - 1), sparse_injection(a - j, a - i, dp - 1))
+                 for dp in range(2, dim + 1) for a in range(ell + 1)
+                 for i in range(a + 1) for j in range(i, a + 1)]
+        for to_size, idx in maps:
+            x = np.arange(1.0, len(idx) + 1)
+            v = np.zeros(to_size)
+            v[idx] = x
+            np.testing.assert_array_equal(v[idx], x)
 
-    def test_refresh_swaps_spectra_only(self):
-        rng = np.random.default_rng(4)
-        k1 = make_kernel(2, rng)
-        k2 = make_kernel(2, rng)
-        plan = build_plan(3, 2, k1)
-        tables_before = plan._levels
-
-        def maps():
-            return [m for levels in plan._levels.values() for lev in levels
-                    for m in (lev.block, lev.bbar, lev.a_part, lev.select)
-                    if m is not None]
-
-        copies = [m.copy() for m in maps()]
-        old_hash = plan.kernel_hash
-        plan.refresh(k2)
-        assert plan.kernel_hash != old_hash
-        assert plan._levels is tables_before  # index maps untouched
-        for got, want in zip(maps(), copies, strict=True):
-            assert not got.flags.writeable
-            np.testing.assert_array_equal(got, want)
-        v = rng.standard_normal(plan.grid.size)
-        want = naive_kernel_mvm(plan.grid, k2, v)
-        assert rel_err(sg_mvm_batched(plan, v), want) < 1e-10
-
-    def test_stale_kernel_rejected(self):
-        rng = np.random.default_rng(6)
-        k1 = make_kernel(2, rng)
-        k2 = make_kernel(2, rng)
-        plan = build_plan(2, 2, k1)
-        v = np.zeros(plan.grid.size)
-        with pytest.raises(PlanKernelMismatch):
-            sg_mvm(plan, v, kernel=k2)
-        with pytest.raises(PlanKernelMismatch):
-            sg_mvm_batched(plan, v, kernel=k2)
-        # same hypers in a fresh object are fine, as is passing nothing
-        k1_clone = ProductKernel(
-            lengthscales=k1.lengthscales, output_scale=k1.output_scale
-        )
-        sg_mvm(plan, v, kernel=k1_clone)
-        sg_mvm(plan, v)
-
-    def test_refresh_dim_mismatch(self):
-        plan = build_plan(2, 2, ProductKernel(lengthscales=[0.5, 0.5]))
-        with pytest.raises(PlanKernelMismatch):
-            plan.refresh(ProductKernel(lengthscales=[0.5, 0.5, 0.5]))
+    def test_sweep_maps_are_read_only(self):
+        plan = build_plan(3, 3, make_kernel(3, np.random.default_rng(4)))
+        maps = [m for levels in plan._levels.values() for lev in levels
+                for m in (lev.block, lev.bbar, lev.a_part, lev.select)
+                if m is not None]
+        assert maps
+        for m in maps:
+            assert not m.flags.writeable
 
     def test_kernel_dim_mismatch_rejected(self):
         with pytest.raises(TypeError):
@@ -234,7 +210,6 @@ class TestPlan:
     def test_workspace_accounting(self):
         plan = build_plan(3, 3, ProductKernel(lengthscales=np.full(3, 0.5)))
         assert plan.workspace_floats >= plan.grid.size
-        assert plan.subgrid(1, 2).size == 5
 
 
 class TestNaive:

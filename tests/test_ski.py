@@ -395,6 +395,15 @@ class TestFitPredict:
         with pytest.raises(ValueError):
             GpConfig(kernel=cfg.kernel, sigma2=0.1, grid="hex")
 
+    def test_predict_rejects_wrong_width(self):
+        rng = np.random.default_rng(73)
+        X = rng.uniform(0, 1, (30, 3))
+        model = fit(quick_cfg(3, ell=2), X, np.sin(X.sum(axis=1)))
+        for width in (1, 5):
+            with pytest.raises(ValueError, match=f"{width} columns.*fitted on 3"):
+                model.predict_mean(np.zeros((4, width)))
+        assert model.predict_mean(np.zeros((4, 3))).shape == (4,)
+
     def test_cg_failure_surfaces_with_stats(self):
         rng = np.random.default_rng(67)
         X = rng.uniform(0, 1, (50, 2))
