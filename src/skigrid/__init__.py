@@ -23,9 +23,7 @@ from .interp import (
     UniformLattice,
     WeightMatrix,
     assemble_W,
-    combination_weights,
     interpolate_direct,
-    subsampled_weights,
 )
 from .kernels import ProductKernel
 from .sgmvm import (
@@ -68,7 +66,6 @@ __all__ = [
     "build_plan",
     "build_sparse_grid",
     "cg_solve",
-    "combination_weights",
     "exact_gp_oracle",
     "fit",
     "fit_loglog_slope",
@@ -83,5 +80,4 @@ __all__ = [
     "sg_mvm",
     "sg_mvm_batched",
     "sparse_grid_size",
-    "subsampled_weights",
 ]

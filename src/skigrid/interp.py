@@ -9,9 +9,21 @@ rows over the top d resolution shells,
 
 accumulated in global sparse-grid indices; the subsampled variant averages
 the shell |l|_1 = ell restricted to grids containing a component of ell or
-ell-1.  A corner's column is its row-major index on Omega_l mapped through
-rect_injection(l, ell), so no point lookup is needed; assemble_W batches
-all points into one CSR matrix.
+ell-1.
+
+assemble_W evaluates every component grid at once.  The components of a
+(resolution, dim, method) are stacked once into (C, d) tables of counts,
+spacings, offsets and row-major strides, with (C,) coefficients and one
+table concatenating every component's rect_injection; a corner's column is
+that table at its component's base plus its row-major index, so no point
+lookup is needed.  A UniformLattice is the C = 1 case with no injection.
+Points go through in row blocks sized from a byte budget.  In a block the
+cells and local coordinates are (rows, C, d) arrays; the simplicial rule
+sorts them with one argsort and walks the Kuhn simplex by cumulative
+strides (Kapoor et al., "SKIing on Simplices", ICML 2021); the tensor rules
+run one pass per stencil shape, the ordered widths of a component's
+multi-point axes.  Entries keep component-then-corner order within a row,
+so duplicates merge in the same order whatever the block size.
 
 Out-of-hull queries are handled by clamping the cell index and local
 coordinate, which keeps rows a partition of unity; level-0 (single-point)
@@ -27,9 +39,13 @@ from itertools import product
 import numpy as np
 import scipy.sparse
 
-from .grids import SparseGrid, build_sparse_grid, rect_injection
+from .grids import SparseGrid, rect_injection
 
 RULE_KINDS = ("simplicial", "linear", "cubic")
+
+# Byte budget of one row block's (rows, entries) work arrays; assembly holds
+# a few of them at a time besides the merged rows.
+BLOCK_BYTES = 2 << 20
 
 
 def rule_density(kind, dim):
@@ -103,74 +119,33 @@ class UniformLattice:
         return f"UniformLattice(shape={self.shape})"
 
 
-class WeightRow:
-    """Sparse interpolation weights for one query point; duplicates merged."""
-
-    __slots__ = ("indices", "weights")
-
-    def __init__(self, indices, weights):
-        indices = np.asarray(indices, dtype=np.int64).ravel()
-        weights = np.asarray(weights, dtype=np.float64).ravel()
-        if indices.shape != weights.shape:
-            raise ValueError("indices and weights must have equal length")
-        uniq, inv = np.unique(indices, return_inverse=True)
-        if len(uniq) != len(indices):
-            merged = np.zeros(len(uniq))
-            np.add.at(merged, inv, weights)
-            indices, weights = uniq, merged
-        self.indices = indices
-        self.weights = weights
-
-    @property
-    def entries(self):
-        return list(zip(self.indices.tolist(), self.weights.tolist()))
-
-    def sum(self):
-        return float(self.weights.sum())
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __repr__(self):
-        return f"WeightRow({len(self)} entries, sum={self.sum():.6f})"
+# ---- base rules, elementwise over any leading axes --------------------------
 
 
-# ---- batched corner/weight generation on one lattice -----------------------
-
-
-def _local_cell(X, lat):
-    """Clamped base-cell index and in-cell coordinate for each point."""
-    hi = np.maximum(lat.counts - 2, 0)
-    T = (X - lat.offsets) / lat.spacings
-    cell = np.clip(np.floor(T), 0, hi).astype(np.int64)
+def _local_cell(T, counts):
+    """Clamped base-cell index and in-cell coordinate of lattice coordinates
+    T (..., d) on lattices of ``counts`` points per axis (..., d)."""
+    cell = np.clip(np.floor(T), 0, np.maximum(counts - 2, 0)).astype(np.int64)
     r = np.clip(T - cell, 0.0, 1.0)
-    r[:, lat.counts == 1] = 0.0  # constant dimension: no interpolation
+    r[..., counts == 1] = 0.0  # constant dimension: no interpolation
     return cell, r
 
 
-def simplicial_corners(X, lat):
-    """Kuhn-simplex corners (n, d+1, d) and barycentric weights (n, d+1).
+def _kuhn(r):
+    """Kuhn-simplex walk through local coordinates r (..., d).
 
-    Local coordinates sorted descending (ties by ascending dimension); the
-    walk from the base corner adds one unit step per sorted dimension, so
-    weights are the consecutive differences of the sorted coordinates.
+    The coordinates sorted descending (ties by ascending dimension) give
+    the order in which the walk from the base corner steps along each
+    dimension, and the barycentric weights (..., d+1) are their
+    consecutive differences.
     """
-    cell, r = _local_cell(X, lat)
-    n, d = X.shape
-    order = np.argsort(-r, axis=1, kind="stable")
-    rs = np.take_along_axis(r, order, axis=1)
-    w = np.empty((n, d + 1))
-    w[:, 0] = 1.0 - rs[:, 0]
-    if d > 1:
-        w[:, 1:d] = rs[:, :-1] - rs[:, 1:]
-    w[:, d] = rs[:, -1]
-    steps = np.concatenate(
-        [np.zeros((n, 1, d), dtype=np.int64),
-         np.cumsum(np.eye(d, dtype=np.int64)[order], axis=1)],
-        axis=1,
-    )
-    corners = np.minimum(cell[:, None, :] + steps, lat.counts - 1)
-    return corners, w
+    order = np.argsort(-r, axis=-1, kind="stable")
+    rs = np.take_along_axis(r, order, axis=-1)
+    w = np.empty(r.shape[:-1] + (r.shape[-1] + 1,))
+    w[..., 0] = 1.0 - rs[..., 0]
+    w[..., 1:-1] = rs[..., :-1] - rs[..., 1:]
+    w[..., -1] = rs[..., -1]
+    return order, w
 
 
 def _keys_cubic(s):
@@ -179,6 +154,42 @@ def _keys_cubic(s):
     near = 1.5 * s**3 - 2.5 * s**2 + 1.0
     far = -0.5 * (s**3 - 5.0 * s**2 + 8.0 * s - 4.0)
     return np.where(s <= 1.0, near, np.where(s < 2.0, far, 0.0))
+
+
+def _stencil_widths(counts, kind):
+    """Tensor stencil width per axis: 1 on single-point axes, 4 for cubic
+    on axes of at least 4 points, else 2 (linear)."""
+    if kind not in ("linear", "cubic"):
+        raise ValueError(f"tensor rule must be linear or cubic, got {kind!r}")
+    wide = 4 if kind == "cubic" else 2
+    return np.where(counts == 1, 1, np.where(counts >= 4, wide, 2))
+
+
+def _stencil_1d(cell, r, count, width):
+    """Indices and weights (..., width) of one axis' stencil, from cell and
+    local coordinate (..., 1): Keys cubic for width 4, else linear."""
+    if width == 4:
+        offs = np.array([-1, 0, 1, 2])
+        return np.clip(cell + offs, 0, count - 1), _keys_cubic(r - offs)
+    return (np.minimum(cell + np.array([0, 1]), count - 1),
+            np.concatenate([1.0 - r, r], axis=-1))
+
+
+# ---- corners on one lattice (the direct route) ------------------------------
+
+
+def simplicial_corners(X, lat):
+    """Kuhn-simplex corners (n, d+1, d) and barycentric weights (n, d+1)."""
+    cell, r = _local_cell((X - lat.offsets) / lat.spacings, lat.counts)
+    n, d = X.shape
+    order, w = _kuhn(r)
+    steps = np.concatenate(
+        [np.zeros((n, 1, d), dtype=np.int64),
+         np.cumsum(np.eye(d, dtype=np.int64)[order], axis=1)],
+        axis=1,
+    )
+    corners = np.minimum(cell[:, None, :] + steps, lat.counts - 1)
+    return corners, w
 
 
 def tensor_corners(X, lat, kind):
@@ -190,23 +201,16 @@ def tensor_corners(X, lat, kind):
     lattice point; stencil indices are clamped into the lattice, duplicates
     merge later.
     """
-    if kind not in ("linear", "cubic"):
-        raise ValueError(f"tensor rule must be linear or cubic, got {kind!r}")
-    cell, r = _local_cell(X, lat)
+    widths = _stencil_widths(lat.counts, kind)
+    cell, r = _local_cell((X - lat.offsets) / lat.spacings, lat.counts)
     n, d = X.shape
     idxs, ws = [], []
     for j in range(d):
-        cj, rj = cell[:, j : j + 1], r[:, j : j + 1]
-        if lat.counts[j] == 1:
-            idx = np.zeros((n, 1), dtype=np.int64)
-            wj = np.ones((n, 1))
-        elif kind == "cubic" and lat.counts[j] >= 4:
-            offs = np.array([-1, 0, 1, 2])
-            idx = np.clip(cj + offs, 0, lat.counts[j] - 1)
-            wj = _keys_cubic(rj - offs)
+        if widths[j] == 1:
+            idx, wj = np.zeros((n, 1), dtype=np.int64), np.ones((n, 1))
         else:
-            idx = np.minimum(cj + np.array([0, 1]), lat.counts[j] - 1)
-            wj = np.concatenate([1.0 - rj, rj], axis=1)
+            idx, wj = _stencil_1d(cell[:, j : j + 1], r[:, j : j + 1],
+                                  lat.counts[j], widths[j])
         idxs.append(idx)
         ws.append(wj)
     slots = np.array(list(product(*[range(a.shape[1]) for a in idxs])))
@@ -221,29 +225,6 @@ def _corner_fn(kind):
     if kind == "simplicial":
         return simplicial_corners
     return lambda X, lat: tensor_corners(X, lat, kind)
-
-
-# ---- per-point rows on a single lattice ------------------------------------
-
-
-def _rect_row(x, levels, kind):
-    lat = UniformLattice.from_levels(levels)
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if not np.isfinite(X).all():
-        raise ValueError("query point must be finite")
-    corners, w = _corner_fn(kind)(X, lat)
-    flat = np.ravel_multi_index(tuple(corners[0].T), lat.shape)
-    return WeightRow(flat, w[0])
-
-
-def simplicial_weights_rect(x, levels):
-    """Simplicial weights for x on Omega_levels, in local row-major indices."""
-    return _rect_row(x, levels, "simplicial")
-
-
-def tensor_weights_rect(x, levels, kind="linear"):
-    """Tensor-product linear or cubic weights on Omega_levels."""
-    return _rect_row(x, levels, kind)
 
 
 # ---- grid combinations ------------------------------------------------------
@@ -295,27 +276,142 @@ def _components(resolution, dim, method):
     raise ValueError(f"unknown method {method!r}")
 
 
-def combination_weights(x, resolution, dim, base=BaseRule()):
-    """Combination-technique row for x on G(resolution, dim), global indices."""
-    grid = build_sparse_grid(resolution, dim)
-    return assemble_W(np.reshape(x, (1, -1)), grid, base, "combination").row(0)
+# ---- stacked component tables -----------------------------------------------
 
 
-def subsampled_weights(x, resolution, dim, base=BaseRule()):
-    """Subsampled-rule row for x on G(resolution, dim), global indices."""
-    grid = build_sparse_grid(resolution, dim)
-    return assemble_W(np.reshape(x, (1, -1)), grid, base, "subsampled").row(0)
+@dataclass(frozen=True)
+class _StencilPass:
+    """The components sharing one tensor stencil shape, restricted to their
+    k multi-point axes: ``axes``, counts, spacings, offsets and strides are
+    (c, k); ``bases`` and ``coeffs`` are (c,); ``slots`` are the entries'
+    positions in a row, component-then-corner."""
+
+    widths: tuple
+    axes: np.ndarray
+    counts: np.ndarray
+    spacings: np.ndarray
+    offsets: np.ndarray
+    strides: np.ndarray
+    bases: np.ndarray
+    coeffs: np.ndarray
+    slots: np.ndarray
+
+
+class _Components:
+    """Component lattices stacked as (C, d) tables.
+
+    ``strides`` are row-major; ``steps`` equal them on multi-point axes and
+    are 0 on single-point ones, where the Kuhn walk's step is clamped away.
+    ``columns`` concatenates every component's rect_injection, component c
+    from ``bases[c]``; it is None for a lone lattice, whose row-major
+    indices are the columns.
+    """
+
+    def __init__(self, counts, spacings, offsets, coeffs, injections=None):
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.spacings = np.asarray(spacings, dtype=np.float64)
+        self.offsets = np.asarray(offsets, dtype=np.float64)
+        self.coeffs = np.asarray(coeffs, dtype=np.float64)
+        self.n_grids, self.dim = self.counts.shape
+        self.strides = np.ones_like(self.counts)
+        self.strides[:, :-1] = np.cumprod(self.counts[:, :0:-1], axis=1)[:, ::-1]
+        self.steps = np.where(self.counts > 1, self.strides, 0)
+        if injections is None:
+            self.columns, self.bases = None, np.zeros(self.n_grids, dtype=np.int64)
+        else:
+            sizes = np.array([len(t) for t in injections], dtype=np.int64)
+            self.bases = np.cumsum(sizes) - sizes
+            # int32 columns go into scipy's CSR without a copy
+            self.columns = np.concatenate(injections).astype(np.int32)
+        self.passes = {kind: self._stencil_passes(kind) for kind in ("linear", "cubic")}
+        self.row_entries = {"simplicial": self.n_grids * (self.dim + 1)}
+        for kind, passes in self.passes.items():
+            self.row_entries[kind] = sum(p.slots.size for p in passes)
+
+    @classmethod
+    def lattice(cls, lat):
+        return cls(lat.counts[None], lat.spacings[None], lat.offsets[None], [1.0])
+
+    def _stencil_passes(self, kind):
+        widths = _stencil_widths(self.counts, kind)
+        sizes = widths.prod(axis=1)
+        starts = np.cumsum(sizes) - sizes
+        shapes = [tuple(int(w) for w in row if w > 1) for row in widths]
+        passes = []
+        for shape in sorted(set(shapes)):
+            comps = np.array([c for c, s in enumerate(shapes) if s == shape])
+            axes = np.nonzero(widths[comps] > 1)[1].reshape(len(comps), len(shape))
+            rows = comps[:, None]
+            passes.append(_StencilPass(
+                shape, axes, self.counts[rows, axes], self.spacings[rows, axes],
+                self.offsets[rows, axes], self.strides[rows, axes],
+                self.bases[comps], self.coeffs[comps],
+                (starts[rows] + np.arange(sizes[comps[0]])).ravel()))
+        return passes
+
+    def block_rows(self, kind):
+        """Rows per block: one (rows, entries) array of 8-byte items fills
+        BLOCK_BYTES."""
+        return max(1, BLOCK_BYTES // (8 * self.row_entries[kind]))
+
+    def simplicial_block(self, X):
+        """Row-major indices plus bases, and weights, (m, C(d+1))."""
+        cell, r = _local_cell((X[:, None, :] - self.offsets) / self.spacings,
+                              self.counts)
+        order, w = _kuhn(r)
+        flat = np.empty(w.shape, dtype=np.int64)
+        flat[..., 0] = (cell * self.strides).sum(axis=-1) + self.bases
+        np.cumsum(np.take_along_axis(self.steps[None], order, axis=-1),
+                  axis=-1, out=flat[..., 1:])
+        flat[..., 1:] += flat[..., :1]
+        w *= self.coeffs[:, None]
+        shape = (len(X), self.row_entries["simplicial"])
+        return flat.reshape(shape), w.reshape(shape)
+
+    def tensor_block(self, X, kind):
+        """As simplicial_block, one pass per stencil shape."""
+        m = len(X)
+        flat_out = np.empty((m, self.row_entries[kind]), dtype=np.int64)
+        w_out = np.empty((m, self.row_entries[kind]))
+        for p in self.passes[kind]:
+            c = len(p.bases)
+            cell, r = _local_cell((X[:, p.axes] - p.offsets) / p.spacings, p.counts)
+            flat = np.broadcast_to(p.bases[:, None], (m, c, 1))
+            w = np.ones((m, c, 1))
+            # single-point axes add one slot of weight exactly 1.0, so
+            # leaving them out changes neither the slot order nor a product
+            for j, width in enumerate(p.widths):
+                idx, wj = _stencil_1d(cell[..., j : j + 1], r[..., j : j + 1],
+                                      p.counts[:, j : j + 1], width)
+                idx *= p.strides[:, j : j + 1]
+                shape = (m, c, w.shape[-1] * width)
+                flat = (flat[..., :, None] + idx[..., None, :]).reshape(shape)
+                w = (w[..., :, None] * wj[..., None, :]).reshape(shape)
+            w *= p.coeffs[:, None]
+            flat_out[:, p.slots] = flat.reshape(m, p.slots.size)
+            w_out[:, p.slots] = w.reshape(m, p.slots.size)
+        return flat_out, w_out
+
+
+@lru_cache(maxsize=None)
+def _grid_components(resolution, dim, method):
+    comps = _components(resolution, dim, method)
+    levels = np.array([lv for lv, _ in comps], dtype=np.int64).reshape(-1, dim)
+    return _Components(
+        2**levels, np.ldexp(1.0, -levels), np.ldexp(1.0, -levels - 1),
+        [c for _, c in comps],
+        [rect_injection(lv, resolution) for lv, _ in comps],
+    )
 
 
 # ---- weight-matrix assembly --------------------------------------------------
 
 
 class WeightMatrix:
-    """Row-sparse n x m interpolation matrix over a fixed grid."""
+    """Row-sparse n x m interpolation matrix over a fixed grid; ``matrix``
+    is CSR with duplicates summed and zeros dropped."""
 
     def __init__(self, matrix, rule, method, n_grids, dim):
-        matrix.sum_duplicates()
-        matrix.eliminate_zeros()
         self.matrix = matrix
         self.rule = rule
         self.method = method
@@ -324,8 +420,11 @@ class WeightMatrix:
         counts = np.diff(matrix.indptr)
         self.max_row_nnz = int(counts.max()) if len(counts) else 0
         self.density_bound = rule.density(dim) * n_grids
-        assert self.max_row_nnz <= self.density_bound, (
-            self.max_row_nnz, self.density_bound)
+        if self.max_row_nnz > self.density_bound:
+            raise RuntimeError(
+                f"W has a row with {self.max_row_nnz} entries; the "
+                f"{rule.kind} rule over {n_grids} grids allows at most "
+                f"{self.density_bound}")
 
     @property
     def shape(self):
@@ -343,10 +442,6 @@ class WeightMatrix:
         """W^T @ u; exact adjoint of apply."""
         return self.matrix.T @ u
 
-    def row(self, i):
-        sl = slice(self.matrix.indptr[i], self.matrix.indptr[i + 1])
-        return WeightRow(self.matrix.indices[sl], self.matrix.data[sl])
-
     def dump_triplets_csv(self, path):
         """Debug export: one (row, grid index, weight) triplet per line."""
         coo = self.matrix.tocoo()
@@ -362,12 +457,27 @@ class WeightMatrix:
                 f"method={self.method}, nnz={self.nnz})")
 
 
+def _merged_rows(cols, vals, size):
+    """CSR rows of (m, K) entries with duplicates summed and zeros dropped."""
+    m, K = cols.shape
+    rows = scipy.sparse.csr_matrix(
+        (vals.ravel(), cols.ravel(), np.arange(0, m * K + 1, K)), shape=(m, size))
+    rows.sum_duplicates()
+    rows.eliminate_zeros()
+    return rows
+
+
 def assemble_W(X, grid, rule=BaseRule(), method="combination"):
     """Interpolation matrix for query points X over a sparse grid or lattice.
 
     X is (n, d); grid is a SparseGrid (rows combined across component
     grids per `method`) or a UniformLattice (single-grid rows, method
     ignored).  Row i holds the weights of x_i.
+
+    All components are evaluated together from their stacked tables, in
+    row blocks sized from BLOCK_BYTES; each block's rows have their
+    duplicates merged in component-then-corner order and the blocks'
+    CSR arrays are concatenated, so W does not depend on the block size.
     """
     rule = _as_rule(rule)
     X = np.asarray(X, dtype=np.float64)
@@ -376,39 +486,34 @@ def assemble_W(X, grid, rule=BaseRule(), method="combination"):
     if not np.isfinite(X).all():
         raise ValueError("X must be finite")
     n, d = X.shape
-    fn = _corner_fn(rule.kind)
-
     if not isinstance(grid, (SparseGrid, UniformLattice)):
         raise TypeError(f"grid must be SparseGrid or UniformLattice, "
                         f"got {type(grid).__name__}")
     if grid.dim != d:
         raise ValueError(f"points have dim {d}, grid has dim {grid.dim}")
-    # (lattice, lattice index -> grid column map or None, coefficient)
     if isinstance(grid, UniformLattice):
-        parts = [(grid, None, 1.0)]
-        method = "rect"
+        comps, method = _Components.lattice(grid), "rect"
     else:
-        parts = [
-            (UniformLattice.from_levels(levels),
-             rect_injection(levels, grid.resolution), coeff)
-            for levels, coeff in _components(grid.resolution, d, method)
-        ]
-    # Every component gives each point the same number of corners, so the
-    # rows of W are the rows of the (n, K) corner arrays side by side, in
-    # component-then-corner order: CSR with indptr = 0, K, 2K, ...
-    col_parts, val_parts = [], []
-    for lat, columns, coeff in parts:
-        corners, w = fn(X, lat)
-        cols = np.ravel_multi_index(tuple(corners.reshape(-1, d).T), lat.shape)
-        col_parts.append((cols if columns is None else columns[cols]).reshape(w.shape))
-        val_parts.append(coeff * w)
-    cols, vals = np.hstack(col_parts), np.hstack(val_parts)
-    K = cols.shape[1]
+        comps = _grid_components(grid.resolution, d, method)
+
+    step = comps.block_rows(rule.kind)
+    blocks = []
+    for start in range(0, max(n, 1), step):
+        Xb = X[start : start + step]
+        if rule.kind == "simplicial":
+            flat, vals = comps.simplicial_block(Xb)
+        else:
+            flat, vals = comps.tensor_block(Xb, rule.kind)
+        cols = flat if comps.columns is None else comps.columns[flat]
+        blocks.append(_merged_rows(cols, vals, grid.size))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([np.diff(b.indptr) for b in blocks]), out=indptr[1:])
     mat = scipy.sparse.csr_matrix(
-        (vals.ravel(), cols.ravel(), np.arange(0, n * K + 1, K)),
+        (np.concatenate([b.data for b in blocks]),
+         np.concatenate([b.indices for b in blocks]), indptr),
         shape=(n, grid.size),
     )
-    return WeightMatrix(mat, rule, method, len(parts), d)
+    return WeightMatrix(mat, rule, method, comps.n_grids, d)
 
 
 # ---- direct interpolation (index-free evaluation route) ---------------------

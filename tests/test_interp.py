@@ -2,32 +2,46 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skigrid.grids import build_sparse_grid
+from skigrid.grids import build_sparse_grid, rect_injection
 from skigrid.interp import (
     BaseRule,
     UniformLattice,
-    WeightRow,
+    WeightMatrix,
+    _grid_components,
     assemble_W,
     combination_components,
-    combination_weights,
     interpolate_direct,
     rule_density,
-    simplicial_weights_rect,
     subsampled_components,
-    subsampled_weights,
-    tensor_weights_rect,
 )
 
 
+def one_row(x, grid, kind="simplicial", method="combination"):
+    """Columns and weights of x's row of W: duplicates merged, zeros dropped."""
+    W = assemble_W(np.reshape(x, (1, -1)), grid, BaseRule(kind), method).matrix
+    return W.indices, W.data
+
+
+def lattice_row(x, levels, kind="simplicial"):
+    return one_row(x, UniformLattice.from_levels(levels), kind)
+
+
+def entries(row):
+    return list(zip(row[0].tolist(), row[1].tolist()))
+
+
 def lattice_interp(row, lat, f):
-    """Evaluate a local-index WeightRow against function values on a lattice."""
-    return row.weights @ f(lat.points()[row.indices])
+    """Evaluate a lattice row (columns, weights) against samples of f."""
+    cols, w = row
+    return w @ f(lat.points()[cols])
 
 
 class TestUniformLattice:
@@ -57,32 +71,22 @@ class TestUniformLattice:
             UniformLattice([2], [0.0], [0.25])
 
 
-class TestWeightRow:
-    def test_merges_duplicates(self):
-        row = WeightRow([3, 1, 3], [0.5, 0.2, 0.3])
-        assert row.entries == [(1, 0.2), (3, 0.8)]
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            WeightRow([1, 2], [0.5])
-
-
 class TestSimplicialRect:
     def test_hand_traced_cell(self):
         # x=(0.30, 0.35) on the 2x2 lattice: local coords (0.1, 0.2),
         # dimension 2 steps first, weights (0.8, 0.1, 0.1)
-        row = simplicial_weights_rect([0.30, 0.35], (1, 1))
+        row = lattice_row([0.30, 0.35], (1, 1))
         lat = UniformLattice.from_levels((1, 1))
-        got = {tuple(lat.points()[i]): w for i, w in row.entries}
+        got = {tuple(lat.points()[i]): w for i, w in entries(row)}
         want = {(0.25, 0.25): 0.8, (0.25, 0.75): 0.1, (0.75, 0.75): 0.1}
         assert set(got) == set(want)
         for corner, w in want.items():
             assert got[corner] == pytest.approx(w, abs=1e-12)
 
     def test_on_lattice_point(self):
-        row = simplicial_weights_rect([0.25, 0.75], (1, 1))
-        assert len(row) == 3  # d+1 entries, the extras weightless
-        nz = {i: w for i, w in row.entries if w != 0}
+        row = lattice_row([0.25, 0.75], (1, 1))
+        assert len(row[0]) == 1  # the d weightless corners are dropped
+        nz = {i: w for i, w in entries(row) if w != 0}
         lat = UniformLattice.from_levels((1, 1))
         ((idx, w),) = nz.items()
         assert w == pytest.approx(1.0)
@@ -90,8 +94,8 @@ class TestSimplicialRect:
 
     def test_simplex_centroid(self):
         centroid = np.mean([[0.25, 0.25], [0.25, 0.75], [0.75, 0.75]], axis=0)
-        row = simplicial_weights_rect(centroid, (1, 1))
-        np.testing.assert_allclose(np.sort(row.weights), np.full(3, 1 / 3))
+        _, w = lattice_row(centroid, (1, 1))
+        np.testing.assert_allclose(np.sort(w), np.full(3, 1 / 3))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -100,10 +104,10 @@ class TestSimplicialRect:
         d = int(rng.integers(1, 5))
         levels = tuple(int(l) for l in rng.integers(0, 4, d))
         x = rng.uniform(-0.2, 1.2, d)  # also exercises out-of-hull clamping
-        row = simplicial_weights_rect(x, levels)
-        assert row.sum() == pytest.approx(1.0, abs=1e-12)
-        assert (row.weights >= -1e-15).all()
-        assert len(row) <= d + 1
+        cols, w = lattice_row(x, levels)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert (w >= -1e-15).all()
+        assert len(cols) <= d + 1
 
     def test_affine_exactness_inside_hull(self):
         rng = np.random.default_rng(3)
@@ -115,18 +119,18 @@ class TestSimplicialRect:
             f = lambda P: P @ a + 0.7
             for _ in range(20):
                 x = rng.uniform(lo, hi)
-                row = simplicial_weights_rect(x, levels)
+                row = lattice_row(x, levels)
                 assert lattice_interp(row, lat, f) == pytest.approx(
                     float(x @ a + 0.7), abs=1e-12
                 )
 
     def test_level_zero_dimension_collapses(self):
         # a single-point dimension carries all weight on its lone coordinate
-        row = simplicial_weights_rect([0.9, 0.3], (0, 2))
+        cols, w = lattice_row([0.9, 0.3], (0, 2))
         lat = UniformLattice.from_levels((0, 2))
-        assert row.sum() == pytest.approx(1.0)
-        assert len(row) <= 2  # duplicates in the constant dim merged
-        assert all(lat.points()[i][0] == 0.5 for i in row.indices)
+        assert w.sum() == pytest.approx(1.0)
+        assert len(cols) <= 2  # duplicates in the constant dim merged
+        assert all(lat.points()[i][0] == 0.5 for i in cols)
 
     def test_tie_continuity_across_simplex_boundary(self):
         # equal local coordinates sit on a simplex face; the interpolant of
@@ -142,22 +146,20 @@ class TestSimplicialRect:
         ]
         x = np.array([0.4, 0.4])
         eps = 1e-9
-        at = lattice_interp(simplicial_weights_rect(x, (2, 2)), lat, f)
+        at = lattice_interp(lattice_row(x, (2, 2)), lat, f)
         for dx in ([eps, 0.0], [0.0, eps], [-eps, 0.0], [0.0, -eps]):
-            near = lattice_interp(
-                simplicial_weights_rect(x + dx, (2, 2)), lat, f
-            )
+            near = lattice_interp(lattice_row(x + dx, (2, 2)), lat, f)
             assert abs(near - at) < 1e-6
 
 
 class TestTensorRect:
     def test_linear_midpoint(self):
-        row = tensor_weights_rect([0.5], (1,), "linear")
-        assert row.entries == [(0, 0.5), (1, 0.5)]
+        row = lattice_row([0.5], (1,), "linear")
+        assert entries(row) == [(0, 0.5), (1, 0.5)]
 
     def test_linear_on_lattice_point(self):
-        row = tensor_weights_rect([0.25, 0.25], (1, 1), "linear")
-        nz = [(i, w) for i, w in row.entries if w != 0]
+        row = lattice_row([0.25, 0.25], (1, 1), "linear")
+        nz = [(i, w) for i, w in entries(row) if w != 0]
         assert nz == [(0, 1.0)]
 
     def test_linear_affine_exactness(self):
@@ -170,7 +172,7 @@ class TestTensorRect:
         hi = lat.offsets + (lat.counts - 1) * lat.spacings - 1e-9
         for _ in range(20):
             x = rng.uniform(lo, hi)
-            row = tensor_weights_rect(x, levels, "linear")
+            row = lattice_row(x, levels, "linear")
             assert lattice_interp(row, lat, f) == pytest.approx(
                 float(x @ a - 0.3), abs=1e-12
             )
@@ -181,18 +183,18 @@ class TestTensorRect:
         rng = np.random.default_rng(seed)
         d = int(rng.integers(1, 4))
         levels = tuple(int(l) for l in rng.integers(0, 4, d))
-        row = tensor_weights_rect(rng.uniform(-0.1, 1.1, d), levels, "linear")
-        assert row.sum() == pytest.approx(1.0, abs=1e-12)
-        assert (row.weights >= -1e-15).all()
-        assert len(row) <= 2**d
+        cols, w = lattice_row(rng.uniform(-0.1, 1.1, d), levels, "linear")
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert (w >= -1e-15).all()
+        assert len(cols) <= 2**d
 
     def test_cubic_cardinal_property(self):
         # on a lattice point the Keys kernel hits 1 there, 0 on neighbors
         lat = UniformLattice.from_levels((2,))
         for t in range(4):
-            row = tensor_weights_rect([lat.coords_1d(0)[t]], (2,), "cubic")
+            cols, weights = lattice_row([lat.coords_1d(0)[t]], (2,), "cubic")
             w = np.zeros(lat.size)
-            w[row.indices] = row.weights
+            w[cols] = weights
             want = np.zeros(lat.size)
             want[t] = 1.0
             np.testing.assert_allclose(w, want, atol=1e-12)
@@ -201,9 +203,9 @@ class TestTensorRect:
         rng = np.random.default_rng(7)
         for _ in range(20):
             x = rng.uniform(0, 1, 2)
-            row = tensor_weights_rect(x, (3, 2), "cubic")
-            assert row.sum() == pytest.approx(1.0, abs=1e-12)
-            assert len(row) <= 16
+            cols, w = lattice_row(x, (3, 2), "cubic")
+            assert w.sum() == pytest.approx(1.0, abs=1e-12)
+            assert len(cols) <= 16
 
     def test_cubic_reproduces_quadratics_in_interior(self):
         # Keys a=-1/2 is exact on quadratics away from the boundary stencil
@@ -214,19 +216,19 @@ class TestTensorRect:
         lo = lat.offsets[0] + lat.spacings[0]  # one full cell off each end
         hi = lat.offsets[0] + 6 * lat.spacings[0]
         for x in rng.uniform(lo, hi, 25):
-            row = tensor_weights_rect([x], levels, "cubic")
+            row = lattice_row([x], levels, "cubic")
             got = lattice_interp(row, lat, f)
             assert got == pytest.approx(2 * x**2 - x + 0.1, abs=1e-12)
 
     def test_cubic_falls_back_to_linear_when_short(self):
         # 2-point dimension cannot support a 4-point stencil
-        row = tensor_weights_rect([0.4], (1,), "cubic")
-        want = tensor_weights_rect([0.4], (1,), "linear")
-        assert row.entries == want.entries
+        row = lattice_row([0.4], (1,), "cubic")
+        want = lattice_row([0.4], (1,), "linear")
+        assert entries(row) == entries(want)
 
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
-            tensor_weights_rect([0.5], (1,), "quintic")
+            lattice_row([0.5], (1,), "quintic")
 
 
 class TestCombination:
@@ -245,18 +247,17 @@ class TestCombination:
 
     def test_d1_reduces_to_base_rule(self):
         x = [0.613]
-        row = combination_weights(x, 3, 1)
-        base = simplicial_weights_rect(x, (3,))
         grid = build_sparse_grid(3, 1)
+        row = one_row(x, grid)
+        base = lattice_row(x, (3,))
         lat = UniformLattice.from_levels((3,))
-        got = {tuple(grid.points()[i]): w for i, w in row.entries}
-        want = {tuple(lat.points()[i]): w for i, w in base.entries}
+        got = {tuple(grid.points()[i]): w for i, w in entries(row)}
+        want = {tuple(lat.points()[i]): w for i, w in entries(base)}
         assert got == want
 
     def test_constant_function_reproduced(self):
-        g = build_sparse_grid(2, 2)
-        row = combination_weights([0.4, 0.9], 2, 2)
-        assert row.sum() == pytest.approx(1.0, abs=1e-12)
+        _, w = one_row([0.4, 0.9], build_sparse_grid(2, 2))
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -266,8 +267,8 @@ class TestCombination:
         ell = int(rng.integers(0, 7 - d if d > 3 else 5))
         kind = ("simplicial", "linear")[int(rng.integers(0, 2))]
         x = rng.uniform(0, 1, d)
-        row = combination_weights(x, ell, d, BaseRule(kind))
-        assert row.sum() == pytest.approx(1.0, abs=1e-12)
+        _, w = one_row(x, build_sparse_grid(ell, d), kind)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_row_density_bound(self):
         d, ell = 3, 4
@@ -276,13 +277,13 @@ class TestCombination:
         )
         rng = np.random.default_rng(13)
         for _ in range(10):
-            row = combination_weights(rng.uniform(0, 1, d), ell, d)
-            assert len(row) <= bound
+            cols, _ = one_row(rng.uniform(0, 1, d), build_sparse_grid(ell, d))
+            assert len(cols) <= bound
 
     def test_shells_below_zero_skipped(self):
         # ell < d-1 still works, with the missing shells dropped
-        row = combination_weights([0.5, 0.5, 0.5], 1, 3)
-        assert row.sum() == pytest.approx(1.0, abs=1e-12)
+        _, w = one_row([0.5, 0.5, 0.5], build_sparse_grid(1, 3))
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSubsampled:
@@ -302,9 +303,10 @@ class TestSubsampled:
     def test_constant_function_reproduced(self):
         rng = np.random.default_rng(17)
         for d in (1, 2, 3):
-            row = subsampled_weights(rng.uniform(0, 1, d), 3, d)
-            assert row.sum() == pytest.approx(1.0, abs=1e-12)
-            assert (row.weights >= -1e-15).all()
+            _, w = one_row(rng.uniform(0, 1, d), build_sparse_grid(3, d),
+                           method="subsampled")
+            assert w.sum() == pytest.approx(1.0, abs=1e-12)
+            assert (w >= -1e-15).all()
 
 
 class TestAssembleW:
@@ -317,11 +319,11 @@ class TestAssembleW:
         f = lambda P: np.exp(-P[:, 0]) * np.sin(4 * P[:, 1])
         W = assemble_W(X, g)
         samples = f(g.points())
+        m = W.matrix
         for i, x in enumerate(X):
-            row = W.row(i)
+            cols, w = (a[m.indptr[i] : m.indptr[i + 1]] for a in (m.indices, m.data))
             want = interpolate_direct(f, x[None, :], 3, 2)[0]
-            assert row.weights @ samples[row.indices] == pytest.approx(
-                want, abs=1e-12)
+            assert w @ samples[cols] == pytest.approx(want, abs=1e-12)
 
     def test_high_dimension_matches_direct_evaluation(self):
         # d=16 at l=3: (l+1)*d exceeds 62 bits, where the columns were once
@@ -421,6 +423,60 @@ class TestAssembleW:
             assemble_W(np.zeros((3, 2)), g, method="bogus")
         with pytest.raises(ValueError):
             rule_density("quartic", 2)
+
+    def test_merges_duplicates(self):
+        # component lattices are disjoint, so duplicates come from clamping:
+        # at x = 0.1 the cubic stencil on Omega_3 (cell 0, r = 0.3) clamps
+        # its corner -1 onto point 0, and the row holds their summed weight
+        cols, w = one_row([0.1], build_sparse_grid(3, 1), "cubic")
+        assert len(cols) == 3 and (np.diff(cols) > 0).all()
+        near = lambda s: 1.5 * s**3 - 2.5 * s**2 + 1.0
+        far = lambda s: -0.5 * (s**3 - 5.0 * s**2 + 8.0 * s - 4.0)
+        first = rect_injection((3,), 3)[0]
+        assert w[cols == first][0] == pytest.approx(far(1.3) + near(0.3),
+                                                    abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["simplicial", "cubic"])
+    def test_block_edges_match_one_row_calls(self, kind):
+        # rows are merged block by block; W must not depend on where a
+        # block ends
+        g = build_sparse_grid(4, 6)
+        B = _grid_components(4, 6, "combination").block_rows(kind)
+        X = np.random.default_rng(59).uniform(-0.1, 1.1, (B + 1, 6))
+        rows = [assemble_W(X[i : i + 1], g, BaseRule(kind)).matrix
+                for i in range(B + 1)]
+        for n in (B - 1, B, B + 1):
+            got = assemble_W(X[:n], g, BaseRule(kind)).matrix
+            want = scipy.sparse.vstack(rows[:n], format="csr")
+            for attr in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(got, attr),
+                                              getattr(want, attr))
+
+    def test_no_points(self):
+        for grid in (build_sparse_grid(3, 2), UniformLattice.unit(2, 5)):
+            W = assemble_W(np.zeros((0, 2)), grid)
+            assert W.shape == (0, grid.size) and W.nnz == 0
+
+    def test_assembly_memory_is_bounded(self):
+        # d=6, l=4: 1470 unmerged entries per row merge to ~490; row blocks
+        # keep the peak within a small multiple of W itself
+        g = build_sparse_grid(4, 6)
+        X = np.random.default_rng(61).uniform(0, 1, (2000, 6))
+        assemble_W(X[:1], g)  # component tables are cached
+        tracemalloc.start()
+        try:
+            W = assemble_W(X, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m = W.matrix
+        assert peak <= 4 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+
+    def test_density_check_raises(self):
+        # a 2-d simplicial row on one grid has at most 3 entries
+        dense_row = scipy.sparse.csr_matrix(np.ones((1, 4)))
+        with pytest.raises(RuntimeError, match="4 entries.*at most 3"):
+            WeightMatrix(dense_row, BaseRule("simplicial"), "rect", 1, 2)
 
 
 class TestConvergence:

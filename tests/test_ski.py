@@ -404,6 +404,12 @@ class TestFitPredict:
                 model.predict_mean(np.zeros((4, width)))
         assert model.predict_mean(np.zeros((4, 3))).shape == (4,)
 
+    def test_predict_on_no_points(self):
+        rng = np.random.default_rng(79)
+        X = rng.uniform(0, 1, (30, 3))
+        model = fit(quick_cfg(3, ell=2), X, np.sin(X.sum(axis=1)))
+        assert model.predict_mean(np.zeros((0, 3))).shape == (0,)
+
     def test_cg_failure_surfaces_with_stats(self):
         rng = np.random.default_rng(67)
         X = rng.uniform(0, 1, (50, 2))
