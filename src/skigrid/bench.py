@@ -25,7 +25,7 @@ import numpy as np
 from .grids import build_sparse_grid, sparse_grid_size
 from .interp import BaseRule, UniformLattice, assemble_W
 from .kernels import ProductKernel
-from .sgmvm import NaiveDenseKernel, build_plan, sg_mvm, sg_mvm_batched
+from .sgmvm import build_plan, sg_mvm, sg_mvm_batched
 from .ski import CgConfig, CgFailure, GpConfig, exact_gp_oracle, fit, \
     read_xy_csv
 

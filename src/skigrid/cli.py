@@ -3,14 +3,19 @@
 Exit codes are a stable contract: 0 ok, 1 input error, 2 correctness
 failure, 3 resource cap, 4 solver failure.  Machine-readable output (JSON
 on stdout, results files on disk) comes first; human summaries go to
-stderr.  Flags override keys from --config files; every run echoes the
-fully-resolved configuration.
+stderr.
+
+Settings are click's own: each option's parameter name is its settings key
+and its decorator holds its default.  ``--config FILE`` (JSON, or TOML on
+Python 3.11+) loads keys into click's ``default_map``, so explicit flags
+win over the file and the file over the defaults; a key that names no
+option of the command is rejected.  Every run echoes the resolved settings
+(``ctx.params``) as ``"config"``.
 """
 
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
 
 import click
 import numpy as np
@@ -38,18 +43,6 @@ EXIT_RESOURCES = 3
 EXIT_SOLVER = 4
 
 
-@dataclass
-class CliConfig:
-    """Fully-resolved invocation: defaults <- config file <- explicit flags."""
-
-    subcommand: str
-    config_path: str = None
-    seed: int = 0
-    output: str = None
-    verbosity: int = 0
-    resolved: dict = field(default_factory=dict)
-
-
 def _load_config_file(path):
     if path.endswith(".toml"):
         try:
@@ -69,34 +62,45 @@ def _load_config_file(path):
     return cfg
 
 
-def _resolve(subcommand, defaults, config_path, flags):
-    """Merge defaults, config-file keys, and explicitly-set flags."""
-    resolved = dict(defaults)
-    if config_path:
-        file_cfg = _load_config_file(config_path)
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise ValueError(f"config file {config_path}: unknown keys "
-                             f"{sorted(unknown)}")
-        resolved.update(file_cfg)
-    resolved.update({k: v for k, v in flags.items() if v is not None})
-    return CliConfig(
-        subcommand=subcommand,
-        config_path=config_path,
-        seed=resolved.get("seed", 0),
-        output=resolved.get("output"),
-        verbosity=resolved.get("verbose", 0),
-        resolved=resolved,
-    )
+def _read_config(ctx, param, path):
+    """Eager ``--config`` callback: the file's keys become the defaults."""
+    if path is None:
+        return
+    try:
+        cfg = _load_config_file(path)
+    except (ValueError, OSError) as exc:
+        raise click.BadParameter(str(exc), ctx, param)
+    keys = {p.name for p in ctx.command.params if p.expose_value}
+    unknown = set(cfg) - keys
+    if unknown:
+        raise click.BadParameter(
+            f"config file {path}: unknown keys {sorted(unknown)}", ctx, param)
+    ctx.default_map = cfg
 
 
-def _emit(cc, **payload):
-    doc = {"command": cc.subcommand, "config": cc.resolved, **payload}
+_config_option = click.option(
+    "--config", type=click.Path(exists=True), is_eager=True,
+    expose_value=False, callback=_read_config,
+    help="JSON or TOML file of settings keyed by parameter name; "
+         "explicit flags win over it.")
+
+
+def _command_name(ctx):
+    """Subcommand path without the program name, e.g. ``gp fit``."""
+    names = []
+    while ctx.parent is not None:
+        names.insert(0, ctx.info_name)
+        ctx = ctx.parent
+    return " ".join(names)
+
+
+def _emit(ctx, **payload):
+    doc = {"command": _command_name(ctx), "config": ctx.params, **payload}
     click.echo(json.dumps(doc, sort_keys=True))
 
 
-def _note(cc, msg, min_verbosity=0):
-    if cc.verbosity >= min_verbosity:
+def _note(ctx, msg, min_verbosity=0):
+    if ctx.params["verbose"] >= min_verbosity:
         click.echo(msg, err=True)
 
 
@@ -127,13 +131,11 @@ def _parse_floats(text):
     return [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
 
 
-def _write_results(res, cc, csv_path=None):
-    out = cc.output
-    if out:
-        res.write_json_lines(out)
-    if csv_path:
-        res.write_csv(csv_path)
-    return out
+def _write_results(res, r):
+    if r["output"]:
+        res.write_json_lines(r["output"])
+    if r["csv"]:
+        res.write_csv(r["csv"])
 
 
 # ---- group ------------------------------------------------------------------
@@ -168,29 +170,19 @@ def main():
 
 
 @main.command("grid")
-@click.option("--l", "-l", "ell", type=int, default=None,
-              help="Sparse-grid resolution level.")
-@click.option("--d", "-d", "dim", type=int, default=None,
-              help="Dimension.")
-@click.option("--dump", type=click.Path(dir_okay=False), default=None,
+@_config_option
+@click.option("--l", "-l", type=int, help="Sparse-grid resolution level.")
+@click.option("--d", "-d", type=int, help="Dimension.")
+@click.option("--dump", type=click.Path(dir_okay=False),
               help="Write one CSV row per grid point.")
-@click.option("--size-cap", type=int, default=None,
+@click.option("--size-cap", type=int,
               help="Refuse to enumerate grids above this many points.")
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None)
-@click.option("--seed", type=int, default=None)
 @click.option("-v", "--verbose", count=True)
 @click.pass_context
-def cmd_grid(ctx, ell, dim, dump, size_cap, config_path, seed, verbose):
+def cmd_grid(ctx, **r):
     """Report the closed-form and enumerated sizes of G(l, d)."""
-    defaults = {"l": None, "d": None, "dump": None, "size_cap": None,
-                "seed": 0, "verbose": 0}
-    flags = {"l": ell, "d": dim, "dump": dump, "size_cap": size_cap,
-             "seed": seed, "verbose": verbose or None}
 
     def run():
-        cc = _resolve("grid", defaults, config_path, flags)
-        r = cc.resolved
         if r["l"] is None or r["d"] is None:
             raise ValueError("--l and --d are required")
         if r["l"] < 0 or r["d"] < 1:
@@ -198,7 +190,7 @@ def cmd_grid(ctx, ell, dim, dump, size_cap, config_path, seed, verbose):
         closed = sparse_grid_size(r["l"], r["d"])
         grid = build_sparse_grid(
             r["l"], r["d"],
-            **({"size_cap": r["size_cap"]} if r["size_cap"] else {}))
+            **({} if r["size_cap"] is None else {"size_cap": r["size_cap"]}))
         enumerated = len(grid)
         if enumerated != closed:
             click.echo(
@@ -208,7 +200,7 @@ def cmd_grid(ctx, ell, dim, dump, size_cap, config_path, seed, verbose):
         if r["dump"]:
             dump_points_csv(grid, r["dump"])
         label = f"{closed} point" + ("s" if closed != 1 else "")
-        _emit(cc, closed_form=closed, enumerated=enumerated, label=label,
+        _emit(ctx, closed_form=closed, enumerated=enumerated, label=label,
               dump=r["dump"])
         click.echo(f"G(l={r['l']}, d={r['d']}): {label}", err=True)
 
@@ -219,49 +211,38 @@ def cmd_grid(ctx, ell, dim, dump, size_cap, config_path, seed, verbose):
 
 
 @main.command("mvm-bench")
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None)
-@click.option("--d", "dim", type=int, default=None)
-@click.option("--ells", type=str, default=None,
+@_config_option
+@click.option("--d", type=int, default=6)
+@click.option("--ells", type=str, default="2,3,4,5",
               help="Comma-separated resolution levels, e.g. 2,3,4,5.")
-@click.option("--algos", type=str, default=None,
+@click.option("--algos", type=str, default="iterative,recursive,naive",
               help="Comma-separated subset of naive,recursive,iterative.")
-@click.option("--reps", type=int, default=None)
-@click.option("--naive-cap", type=int, default=None)
-@click.option("--size-cap", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
-@click.option("--csv", "csv_path", type=click.Path(dir_okay=False),
-              default=None)
+@click.option("--reps", type=int, default=8)
+@click.option("--naive-cap", type=int, default=30000)
+@click.option("--size-cap", type=int)
+@click.option("--seed", type=int, default=0)
+@click.option("--output", type=click.Path(dir_okay=False),
+              default="mvm_bench.jsonl")
+@click.option("--csv", type=click.Path(dir_okay=False))
 @click.option("-v", "--verbose", count=True)
 @click.pass_context
-def cmd_mvm_bench(ctx, config_path, dim, ells, algos, reps, naive_cap,
-                  size_cap, seed, output, csv_path, verbose):
+def cmd_mvm_bench(ctx, **r):
     """Time sparse-grid MVM backends across resolutions (Fig.-2-style)."""
-    defaults = {"d": 6, "ells": "2,3,4,5",
-                "algos": "iterative,recursive,naive", "reps": 8,
-                "naive_cap": 30000, "size_cap": None, "seed": 0,
-                "output": "mvm_bench.jsonl", "csv": None, "verbose": 0}
-    flags = {"d": dim, "ells": ells, "algos": algos, "reps": reps,
-             "naive_cap": naive_cap, "size_cap": size_cap, "seed": seed,
-             "output": output, "csv": csv_path, "verbose": verbose or None}
 
     def run():
-        cc = _resolve("mvm-bench", defaults, config_path, flags)
-        r = cc.resolved
         res = run_mvm_scaling(
             r["d"], _parse_ints(r["ells"]),
             algos=tuple(a.strip() for a in str(r["algos"]).split(",")),
             reps=r["reps"], seed=r["seed"], naive_cap=r["naive_cap"],
             size_cap=r["size_cap"])
-        _write_results(res, cc, r["csv"])
-        _emit(cc, output=cc.output, csv=r["csv"], rows=len(res.rows))
+        _write_results(res, r)
+        _emit(ctx, output=r["output"], csv=r["csv"], rows=len(res.rows))
         for row in res.metric_rows("mvm_time_mean"):
-            _note(cc, f"  {row['algo']:>10s} l={row['ell']}: "
-                      f"{row['value'] * 1e3:.3f} ms/MVM")
+            _note(ctx, f"  {row['algo']:>10s} l={row['ell']}: "
+                       f"{row['value'] * 1e3:.3f} ms/MVM")
         skipped = res.metric_rows("status")
-        _note(cc, f"mvm-bench: {len(res.rows)} rows -> {cc.output}"
-                  + (f" ({len(skipped)} skipped)" if skipped else ""))
+        _note(ctx, f"mvm-bench: {len(res.rows)} rows -> {r['output']}"
+                   + (f" ({len(skipped)} skipped)" if skipped else ""))
 
     _guard(ctx, run)
 
@@ -270,36 +251,25 @@ def cmd_mvm_bench(ctx, config_path, dim, ells, algos, reps, naive_cap,
 
 
 @main.command("interp-bench")
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None)
+@_config_option
 @click.option("--function", type=click.Choice(
-    ["cos_l1", "aniso_cos", "corner_peak"]), default=None)
-@click.option("--d", "dim", type=int, default=None)
-@click.option("--ells", type=str, default=None)
-@click.option("--rules", type=str, default=None,
+    ["cos_l1", "aniso_cos", "corner_peak"]), default="cos_l1")
+@click.option("--d", type=int, default=6)
+@click.option("--ells", type=str, default="2,3,4,5")
+@click.option("--rules", type=str, default="simplicial",
               help="Comma-separated subset of simplicial,linear,cubic.")
-@click.option("--matched-dense/--sparse-only", "matched_dense", default=None)
-@click.option("--n-eval", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
-@click.option("--csv", "csv_path", type=click.Path(dir_okay=False),
-              default=None)
+@click.option("--matched-dense/--sparse-only", default=True)
+@click.option("--n-eval", type=int, default=200)
+@click.option("--seed", type=int, default=0)
+@click.option("--output", type=click.Path(dir_okay=False),
+              default="interp_bench.jsonl")
+@click.option("--csv", type=click.Path(dir_okay=False))
 @click.option("-v", "--verbose", count=True)
 @click.pass_context
-def cmd_interp_bench(ctx, config_path, function, dim, ells, rules,
-                     matched_dense, n_eval, seed, output, csv_path, verbose):
+def cmd_interp_bench(ctx, **r):
     """Interpolation RMS error on sparse vs point-matched dense grids."""
-    defaults = {"function": "cos_l1", "d": 6, "ells": "2,3,4,5",
-                "rules": "simplicial", "matched_dense": True, "n_eval": 200,
-                "seed": 0, "output": "interp_bench.jsonl", "csv": None,
-                "verbose": 0}
-    flags = {"function": function, "d": dim, "ells": ells, "rules": rules,
-             "matched_dense": matched_dense, "n_eval": n_eval, "seed": seed,
-             "output": output, "csv": csv_path, "verbose": verbose or None}
 
     def run():
-        cc = _resolve("interp-bench", defaults, config_path, flags)
-        r = cc.resolved
         levels = _parse_ints(r["ells"])
         task = SyntheticTask(r["function"], r["d"], seed=r["seed"])
         grids = [("sparse", e) for e in levels]
@@ -310,11 +280,11 @@ def cmd_interp_bench(ctx, config_path, function, dim, ells, rules,
             task, grids=grids,
             rules=tuple(s.strip() for s in str(r["rules"]).split(",")),
             n_eval=r["n_eval"])
-        _write_results(res, cc, r["csv"])
-        _emit(cc, output=cc.output, csv=r["csv"], rows=len(res.rows))
+        _write_results(res, r)
+        _emit(ctx, output=r["output"], csv=r["csv"], rows=len(res.rows))
         for row in res.metric_rows("rms_error"):
-            _note(cc, f"  {row['kind']:>6s} size={row['size']} "
-                      f"{row['rule']}: rms {row['value']:.4e}")
+            _note(ctx, f"  {row['kind']:>6s} size={row['size']} "
+                       f"{row['rule']}: rms {row['value']:.4e}")
 
     _guard(ctx, run)
 
@@ -347,69 +317,37 @@ def _gp_config(r, dim):
     )
 
 
-_GP_FIT_DEFAULTS = {
-    "data": None, "model": "model.json", "lengthscales": "0.3",
-    "output_scale": 1.0, "sigma2": 0.0025, "grid": "sparse",
-    "resolution": 4, "dense_count": 8, "rule": "simplicial",
-    "method": "combination", "cg_tol": 1e-4, "cg_max_iters": 1000,
-    "preconditioner": CgConfig.preconditioner, "standardize": True,
-    "seed": 0, "verbose": 0,
-}
-
-
-def _gp_shared_options(fn):
-    for deco in reversed([
-        click.option("--lengthscales", type=str, default=None,
-                     help="One value, or one per dimension (comma list)."),
-        click.option("--output-scale", type=float, default=None),
-        click.option("--sigma2", type=float, default=None),
-        click.option("--grid", type=click.Choice(["sparse", "dense"]),
-                     default=None),
-        click.option("--resolution", type=int, default=None),
-        click.option("--dense-count", type=int, default=None),
-        click.option("--rule", type=click.Choice(
-            ["simplicial", "linear", "cubic"]), default=None),
-        click.option("--method", type=click.Choice(
-            ["combination", "subsampled"]), default=None),
-        click.option("--cg-tol", type=float, default=None),
-        click.option("--cg-max-iters", type=int, default=None),
-        click.option("--preconditioner", type=click.Choice(
-            ["none", "nystrom"]), default=None,
-            help="CG preconditioner (default: nystrom)."),
-    ]):
-        fn = deco(fn)
-    return fn
-
-
 @cmd_gp.command("fit")
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None)
+@_config_option
 @click.option("--data", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Training CSV; last column is the target.")
-@click.option("--model", "model_path", type=click.Path(dir_okay=False),
-              default=None, help="Where to write the fitted model JSON.")
-@_gp_shared_options
-@click.option("--standardize/--no-standardize", default=None,
+              help="Training CSV; last column is the target.")
+@click.option("--model", type=click.Path(dir_okay=False), default="model.json",
+              help="Where to write the fitted model JSON.")
+@click.option("--lengthscales", type=str, default="0.3",
+              help="One value, or one per dimension (comma list).")
+@click.option("--output-scale", type=float, default=1.0)
+@click.option("--sigma2", type=float, default=0.0025)
+@click.option("--grid", type=click.Choice(["sparse", "dense"]),
+              default="sparse")
+@click.option("--resolution", type=int, default=4)
+@click.option("--dense-count", type=int, default=8)
+@click.option("--rule", type=click.Choice(["simplicial", "linear", "cubic"]),
+              default="simplicial")
+@click.option("--method", type=click.Choice(["combination", "subsampled"]),
+              default="combination")
+@click.option("--cg-tol", type=float, default=1e-4)
+@click.option("--cg-max-iters", type=int, default=1000)
+@click.option("--preconditioner", type=click.Choice(["none", "nystrom"]),
+              default=CgConfig.preconditioner,
+              help="CG preconditioner (default: nystrom).")
+@click.option("--standardize/--no-standardize", default=True,
               help="Standardize targets using training statistics.")
-@click.option("--seed", type=int, default=None)
 @click.option("-v", "--verbose", count=True)
 @click.pass_context
-def cmd_gp_fit(ctx, config_path, data, model_path, lengthscales,
-               output_scale, sigma2, grid, resolution, dense_count, rule,
-               method, cg_tol, cg_max_iters, preconditioner, standardize,
-               seed, verbose):
+def cmd_gp_fit(ctx, **r):
     """Fit a SKI GP on a CSV dataset and save the model."""
-    flags = {"data": data, "model": model_path,
-             "lengthscales": lengthscales, "output_scale": output_scale,
-             "sigma2": sigma2, "grid": grid, "resolution": resolution,
-             "dense_count": dense_count, "rule": rule, "method": method,
-             "cg_tol": cg_tol, "cg_max_iters": cg_max_iters,
-             "preconditioner": preconditioner, "standardize": standardize,
-             "seed": seed, "verbose": verbose or None}
 
     def run():
-        cc = _resolve("gp fit", _GP_FIT_DEFAULTS, config_path, flags)
-        r = cc.resolved
         if not r["data"]:
             raise ValueError("--data is required")
         X, y = read_xy_csv(r["data"])
@@ -423,13 +361,13 @@ def cmd_gp_fit(ctx, config_path, data, model_path, lengthscales,
         cfg = _gp_config(r, X.shape[1])
         model = fit(cfg, X, y)
         model.y_mean, model.y_std = y_mean, y_std
-        model.save(r["model"], cli={"command": "gp fit",
-                                    "config": cc.resolved,
+        model.save(r["model"], cli={"command": _command_name(ctx),
+                                    "config": r,
                                     "metadata": environment_metadata()})
-        _emit(cc, model=r["model"], n_train=len(y),
+        _emit(ctx, model=r["model"], n_train=len(y),
               **cg_report(model.fit_stats))
-        _note(cc, f"fit: n={len(y)} d={X.shape[1]} grid={cfg.grid} -> "
-                  f"{r['model']} ({model.fit_stats.n_iters} CG iterations)")
+        _note(ctx, f"fit: n={len(y)} d={X.shape[1]} grid={cfg.grid} -> "
+                   f"{r['model']} ({model.fit_stats.n_iters} CG iterations)")
 
     _guard(ctx, run)
 
@@ -447,26 +385,18 @@ def _read_features(path, dim):
 
 
 @cmd_gp.command("predict")
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None)
-@click.option("--model", "model_path",
-              type=click.Path(exists=True, dir_okay=False), default=None)
+@_config_option
+@click.option("--model", type=click.Path(exists=True, dir_okay=False))
 @click.option("--data", type=click.Path(exists=True, dir_okay=False),
-              default=None,
               help="CSV of inputs; a trailing target column is ignored.")
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
+@click.option("--output", type=click.Path(dir_okay=False),
+              default="predictions.csv")
 @click.option("-v", "--verbose", count=True)
 @click.pass_context
-def cmd_gp_predict(ctx, config_path, model_path, data, output, verbose):
+def cmd_gp_predict(ctx, **r):
     """Write per-row posterior means for a CSV of inputs."""
-    defaults = {"model": None, "data": None, "output": "predictions.csv",
-                "seed": 0, "verbose": 0}
-    flags = {"model": model_path, "data": data, "output": output,
-             "verbose": verbose or None}
 
     def run():
-        cc = _resolve("gp predict", defaults, config_path, flags)
-        r = cc.resolved
         if not r["model"] or not r["data"]:
             raise ValueError("--model and --data are required")
         model = load_model(r["model"])
@@ -479,63 +409,41 @@ def cmd_gp_predict(ctx, config_path, model_path, data, output, verbose):
             for xi, mi in zip(X, mean):
                 w.writerow([repr(float(v)) for v in xi]
                            + [repr(float(mi))])
-        _emit(cc, output=r["output"], rows=len(mean))
-        _note(cc, f"predict: {len(mean)} rows -> {r['output']}")
+        _emit(ctx, output=r["output"], rows=len(mean))
+        _note(ctx, f"predict: {len(mean)} rows -> {r['output']}")
 
     _guard(ctx, run)
 
 
-_GP_STUDY_DEFAULTS = {
-    "data": None, "function": "cos_l1", "dims": "2", "n_train": 4000,
-    "n_test": 200, "noise_std": 0.05, "lengthscales": "0.3",
-    "output_scale": 1.0, "sigma2": 0.0025, "resolution": 4,
-    "cg_tol": 1e-5, "cg_max_iters": 2000, "include_exact": False,
-    "standardize": True, "seed": 0, "output": "gp_study.jsonl",
-    "csv": None, "verbose": 0,
-}
-
-
 @cmd_gp.command("study")
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None)
+@_config_option
 @click.option("--data", type=click.Path(exists=True, dir_okay=False),
-              default=None,
               help="Optional CSV dataset; split 4:2:3 instead of synthetic.")
 @click.option("--function", type=click.Choice(
-    ["cos_l1", "aniso_cos", "corner_peak"]), default=None)
-@click.option("--dims", type=str, default=None,
+    ["cos_l1", "aniso_cos", "corner_peak"]), default="cos_l1")
+@click.option("--dims", type=str, default="2",
               help="Comma-separated dimensions for synthetic studies.")
-@click.option("--n-train", type=int, default=None)
-@click.option("--n-test", type=int, default=None)
-@click.option("--noise-std", type=float, default=None)
-@click.option("--lengthscales", type=str, default=None)
-@click.option("--sigma2", type=float, default=None)
-@click.option("--resolution", type=int, default=None)
-@click.option("--cg-tol", type=float, default=None)
-@click.option("--cg-max-iters", type=int, default=None)
-@click.option("--include-exact/--no-exact", "include_exact", default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
-@click.option("--csv", "csv_path", type=click.Path(dir_okay=False),
-              default=None)
+@click.option("--n-train", type=int, default=4000)
+@click.option("--n-test", type=int, default=200)
+@click.option("--noise-std", type=float, default=0.05)
+@click.option("--lengthscales", type=str, default="0.3")
+@click.option("--sigma2", type=float, default=0.0025)
+@click.option("--resolution", type=int, default=4)
+@click.option("--cg-tol", type=float, default=1e-5)
+@click.option("--cg-max-iters", type=int, default=2000)
+@click.option("--include-exact/--no-exact", default=False)
+@click.option("--standardize/--no-standardize", default=True,
+              help="Standardize CSV-study targets using training statistics.")
+@click.option("--seed", type=int, default=0)
+@click.option("--output", type=click.Path(dir_okay=False),
+              default="gp_study.jsonl")
+@click.option("--csv", type=click.Path(dir_okay=False))
 @click.option("-v", "--verbose", count=True)
 @click.pass_context
-def cmd_gp_study(ctx, config_path, data, function, dims, n_train, n_test,
-                 noise_std, lengthscales, sigma2, resolution, cg_tol,
-                 cg_max_iters, include_exact, seed, output, csv_path,
-                 verbose):
+def cmd_gp_study(ctx, **r):
     """Sparse-vs-dense test RMSE study on synthetic or CSV data."""
-    flags = {"data": data, "function": function, "dims": dims,
-             "n_train": n_train, "n_test": n_test, "noise_std": noise_std,
-             "lengthscales": lengthscales, "sigma2": sigma2,
-             "resolution": resolution, "cg_tol": cg_tol,
-             "cg_max_iters": cg_max_iters, "include_exact": include_exact,
-             "seed": seed, "output": output, "csv": csv_path,
-             "verbose": verbose or None}
 
     def run():
-        cc = _resolve("gp study", _GP_STUDY_DEFAULTS, config_path, flags)
-        r = cc.resolved
         ls = _parse_floats(r["lengthscales"])
         cg = CgConfig(rel_tolerance=r["cg_tol"],
                       max_iters=r["cg_max_iters"])
@@ -555,12 +463,12 @@ def cmd_gp_study(ctx, config_path, data, function, dims, n_train, n_test,
             res = run_gp_study(tasks, resolution=r["resolution"],
                                lengthscale=ls[0], sigma2=r["sigma2"],
                                cg=cg, include_exact=r["include_exact"])
-        _write_results(res, cc, r["csv"])
-        _emit(cc, output=cc.output, csv=r["csv"], rows=len(res.rows))
+        _write_results(res, r)
+        _emit(ctx, output=r["output"], csv=r["csv"], rows=len(res.rows))
         for row in res.metric_rows("test_rmse"):
             val = "failed" if row["value"] is None else f"{row['value']:.4f}"
-            _note(cc, f"  d={row.get('d', '?')} {row['grid']:>6s}: "
-                      f"rmse {val}")
+            _note(ctx, f"  d={row.get('d', '?')} {row['grid']:>6s}: "
+                       f"rmse {val}")
 
     _guard(ctx, run)
 

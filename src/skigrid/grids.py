@@ -122,25 +122,13 @@ class SparseGrid:
         return f"SparseGrid(resolution={self.resolution}, dim={self.dim})"
 
 
-_grid_cache = {}
-
-
 def build_sparse_grid(resolution, dim, size_cap=DEFAULT_SIZE_CAP):
-    """Construct (or fetch the cached, immutable) G(resolution, dim).
+    """Construct the immutable G(resolution, dim).
 
-    The cap is checked against the closed-form size before any allocation.
+    The cap is checked against the closed-form size before any allocation;
+    the enumeration itself is cached per (resolution, dim).
     """
-    if size_cap is not None and sparse_grid_size(resolution, dim) > size_cap:
-        raise GridCapExceeded(
-            f"G({resolution},{dim}) has {sparse_grid_size(resolution, dim)} points, "
-            f"cap is {size_cap}"
-        )
-    key = (resolution, dim)
-    grid = _grid_cache.get(key)
-    if grid is None:
-        grid = SparseGrid(resolution, dim, size_cap=None)
-        _grid_cache[key] = grid
-    return grid
+    return SparseGrid(resolution, dim, size_cap)
 
 
 # ---- 1-d rank algebra ---------------------------------------------------

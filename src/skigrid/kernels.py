@@ -159,9 +159,8 @@ def toeplitz_from_grid(kernel, ell, axis=0):
     the product kernel's output_scale multiplies once at the product level,
     never per factor.
     """
-    n = 2 ** (ell + 1) - 1
-    spacing = 2.0 ** -(ell + 1)
-    return SymmetricToeplitz(kernel.k1d(axis, spacing * np.arange(n)))
+    return toeplitz_on_lattice(kernel, axis, 2 ** (ell + 1) - 1,
+                               2.0 ** -(ell + 1))
 
 
 def toeplitz_on_lattice(kernel, axis, count, spacing):

@@ -50,6 +50,12 @@ class TestGrid:
         assert res.exit_code == 3
         assert "resource cap" in res.stderr
 
+    def test_size_cap_zero_is_enforced(self, runner):
+        res = runner.invoke(main, ["grid", "--l", "2", "--d", "2",
+                                   "--size-cap", "0"])
+        assert res.exit_code == 3
+        assert "resource cap" in res.stderr
+
     def test_dump_points(self, runner, tmp_path):
         out = tmp_path / "pts.csv"
         res = runner.invoke(main, ["grid", "--l", "1", "--d", "2",
@@ -361,3 +367,105 @@ class TestConfigPlumbing:
     def test_help_exits_zero(self, runner):
         assert runner.invoke(main, ["--help"]).exit_code == 0
         assert runner.invoke(main, ["gp", "--help"]).exit_code == 0
+
+
+class TestSettings:
+    """Options are the settings keys; --config files set their defaults."""
+
+    @pytest.fixture
+    def commands(self, tmp_path):
+        train = tmp_path / "train.csv"
+        make_train_csv(train, n=40, d=2, seed=10)
+        model = tmp_path / "model.json"
+        fit = ["gp", "fit", "--data", str(train), "--model", str(model),
+               "--resolution", "2", "--sigma2", "1e-3", "--cg-tol", "1e-6"]
+        return {
+            "grid": ["grid", "--l", "2", "--d", "3", "--size-cap", "100"],
+            "mvm-bench": ["mvm-bench", "--d", "2", "--ells", "1,2",
+                          "--reps", "2", "--algos", "iterative",
+                          "--output", str(tmp_path / "m.jsonl")],
+            "interp-bench": ["interp-bench", "--d", "2", "--ells", "2",
+                             "--n-eval", "20", "--sparse-only",
+                             "--output", str(tmp_path / "i.jsonl")],
+            "gp fit": fit,
+            "gp predict": ["gp", "predict", "--model", str(model),
+                           "--data", str(train),
+                           "--output", str(tmp_path / "p.csv")],
+            "gp study": ["gp", "study", "--dims", "2", "--n-train", "100",
+                         "--n-test", "20", "--resolution", "2",
+                         "--no-standardize",
+                         "--output", str(tmp_path / "s.jsonl")],
+        }
+
+    @pytest.mark.parametrize("name", ["grid", "mvm-bench", "interp-bench",
+                                      "gp fit", "gp predict", "gp study"])
+    def test_echoed_config_replays_from_file(self, runner, tmp_path,
+                                             commands, name):
+        if name == "gp predict":
+            assert runner.invoke(main, commands["gp fit"]).exit_code == 0
+        res = runner.invoke(main, commands[name])
+        assert res.exit_code == 0, res.output
+        first = json.loads(res.stdout)
+        assert first["command"] == name
+        cfg = tmp_path / "echo.json"
+        cfg.write_text(json.dumps(first["config"]))
+        res = runner.invoke(main, [*name.split(), "--config", str(cfg)],
+                            prog_name="python -m skigrid.cli")
+        assert res.exit_code == 0, res.output
+        again = json.loads(res.stdout)
+        assert again["command"] == name
+        assert again["config"] == first["config"]
+
+    def test_toml_config_drives_grid(self, runner, tmp_path):
+        pytest.importorskip("tomllib")
+        cfg = tmp_path / "c.toml"
+        cfg.write_text('l = 2\nd = 2\ndump = "%s"\n'
+                       % (tmp_path / "pts.csv").as_posix())
+        res = runner.invoke(main, ["grid", "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.stdout)
+        assert doc["config"]["l"] == 2 and doc["closed_form"] == 17
+        assert (tmp_path / "pts.csv").exists()
+
+    def test_broken_toml_exit_1(self, runner, tmp_path):
+        pytest.importorskip("tomllib")
+        cfg = tmp_path / "c.toml"
+        cfg.write_text("l = = 2\n")
+        assert runner.invoke(main, ["grid", "--config", str(cfg)])\
+            .exit_code == 1
+
+    def test_wrong_type_in_file_exit_1(self, runner, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"d": 2, "ells": "1", "reps": "x"}))
+        res = runner.invoke(main, ["mvm-bench", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert "reps" in res.stderr
+
+    @pytest.mark.parametrize("command,key", [
+        ("grid", "seed"), ("gp fit", "seed"), ("gp predict", "seed"),
+        ("gp study", "output_scale"),
+    ])
+    def test_dead_keys_rejected(self, runner, tmp_path, command, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: 4}))
+        res = runner.invoke(main, [*command.split(), "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert "unknown keys" in res.stderr
+
+    @pytest.mark.parametrize("name", ["grid", "gp fit"])
+    def test_no_seed_flag_where_unused(self, runner, commands, name):
+        res = runner.invoke(main, [*commands[name], "--seed", "3"])
+        assert res.exit_code == 1
+        assert "--seed" in res.stderr
+
+    def test_study_standardize_flag(self, runner, tmp_path):
+        data = tmp_path / "data.csv"
+        make_train_csv(data, n=90, d=2, seed=11)
+        out = tmp_path / "s.jsonl"
+        res = runner.invoke(main, ["gp", "study", "--data", str(data),
+                                   "--resolution", "2", "--no-standardize",
+                                   "--output", str(out)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout)["config"]["standardize"] is False
+        header = json.loads(out.read_text().splitlines()[0])
+        assert header["config"]["standardize"] is False
