@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from .grids import build_sparse_grid, sparse_grid_size
-from .interp import BaseRule, UniformLattice, assemble_W
+from .interp import BaseRule, UniformLattice, assemble_W, shard_count
 from .kernels import ProductKernel
 from .sgmvm import build_plan, sg_mvm, sg_mvm_batched
 from .ski import CgConfig, CgFailure, GpConfig, exact_gp_oracle, fit, \
@@ -123,6 +123,8 @@ def environment_metadata():
         "numpy": np.__version__,
         "platform": platform.platform(),
         "noise_interpretation": "std",
+        # W^T sums one partial per row shard, so its roundoff depends on this
+        "w_apply_shards": shard_count(),
     }
 
 

@@ -239,7 +239,7 @@ def cmd_mvm_bench(ctx, **r):
         _emit(ctx, output=r["output"], csv=r["csv"], rows=len(res.rows))
         for row in res.metric_rows("mvm_time_mean"):
             _note(ctx, f"  {row['algo']:>10s} l={row['ell']}: "
-                       f"{row['value'] * 1e3:.3f} ms/MVM")
+                       f"{row['value'] * 1e3:.3f} ms/MVM", min_verbosity=1)
         skipped = res.metric_rows("status")
         _note(ctx, f"mvm-bench: {len(res.rows)} rows -> {r['output']}"
                    + (f" ({len(skipped)} skipped)" if skipped else ""))
@@ -284,7 +284,8 @@ def cmd_interp_bench(ctx, **r):
         _emit(ctx, output=r["output"], csv=r["csv"], rows=len(res.rows))
         for row in res.metric_rows("rms_error"):
             _note(ctx, f"  {row['kind']:>6s} size={row['size']} "
-                       f"{row['rule']}: rms {row['value']:.4e}")
+                       f"{row['rule']}: rms {row['value']:.4e}",
+                  min_verbosity=1)
 
     _guard(ctx, run)
 
@@ -468,7 +469,7 @@ def cmd_gp_study(ctx, **r):
         for row in res.metric_rows("test_rmse"):
             val = "failed" if row["value"] is None else f"{row['value']:.4f}"
             _note(ctx, f"  d={row.get('d', '?')} {row['grid']:>6s}: "
-                       f"rmse {val}")
+                       f"rmse {val}", min_verbosity=1)
 
     _guard(ctx, run)
 

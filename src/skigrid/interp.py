@@ -28,16 +28,25 @@ so duplicates merge in the same order whatever the block size.
 Out-of-hull queries are handled by clamping the cell index and local
 coordinate, which keeps rows a partition of unity; level-0 (single-point)
 dimensions carry all their weight on the lone coordinate.
+
+A W of at least SHARD_MIN_NNZ non-zeros is applied in row shards, one per
+CPU the process may run on, at the same time on a thread pool; scipy's
+sparse kernels release the interpreter lock.  W v is bit-identical to the
+single product; W^T u sums one partial per shard in shard order.
 """
 
 import csv
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse import _sparsetools  # the kernels behind scipy's CSR/CSC @
 
 from .grids import SparseGrid, rect_injection
 
@@ -46,6 +55,13 @@ RULE_KINDS = ("simplicial", "linear", "cubic")
 # Byte budget of one row block's (rows, entries) work arrays; assembly holds
 # a few of them at a time besides the merged rows.
 BLOCK_BYTES = 2 << 20
+
+# Smallest W applied in row shards.  Handing a shard to a pool thread and
+# waiting for it costs 40-50 us (2-vCPU x86 VM, 1 BLAS thread, best of 300),
+# so two shards break even between 130k and 200k non-zeros (d=6, l=4: 256
+# to 384 rows) and save 25-35% at 2**18 (W v 0.24 -> 0.16-0.18 ms) and 1.5x
+# at 520k.  Requests of up to 256 points at d=6, l=4 stay below it.
+SHARD_MIN_NNZ = 1 << 18
 
 
 def rule_density(kind, dim):
@@ -409,7 +425,12 @@ def _grid_components(resolution, dim, method):
 
 class WeightMatrix:
     """Row-sparse n x m interpolation matrix over a fixed grid; ``matrix``
-    is CSR with duplicates summed and zeros dropped."""
+    is CSR with duplicates summed and zeros dropped.
+
+    A matrix of at least SHARD_MIN_NNZ non-zeros is cut, when the process
+    may run on more than one CPU, into ``shard_count()`` row shards of about
+    equal nnz that apply and apply_transpose run at the same time.
+    """
 
     def __init__(self, matrix, rule, method, n_grids, dim):
         self.matrix = matrix
@@ -425,6 +446,9 @@ class WeightMatrix:
                 f"W has a row with {self.max_row_nnz} entries; the "
                 f"{rule.kind} rule over {n_grids} grids allows at most "
                 f"{self.density_bound}")
+        shards = shard_count()
+        self._shards = (_RowShards(matrix, shards)
+                        if shards > 1 and matrix.nnz >= SHARD_MIN_NNZ else None)
 
     @property
     def shape(self):
@@ -435,12 +459,26 @@ class WeightMatrix:
         return self.matrix.nnz
 
     def apply(self, v):
-        """W @ v; costs O(nnz)."""
-        return self.matrix @ v
+        """W @ v for v of shape (m,) or (m, r); costs O(nnz).
+
+        On shards, each shard writes its own rows of the output with the
+        kernel scipy's product uses, so the result is bit-identical to
+        ``matrix @ v``.
+        """
+        if self._shards is None or not _float_block(v, self.shape[1]):
+            return self.matrix @ v
+        return self._shards.product(v, transpose=False)
 
     def apply_transpose(self, u):
-        """W^T @ u; exact adjoint of apply."""
-        return self.matrix.T @ u
+        """W^T @ u for u of shape (n,) or (n, r); exact adjoint of apply.
+
+        On shards, each shard computes a grid-sized partial and the
+        partials are summed in shard order: deterministic for a given
+        shard count, and within roundoff of ``matrix.T @ u``.
+        """
+        if self._shards is None or not _float_block(u, self.shape[0]):
+            return self.matrix.T @ u
+        return self._shards.product(u, transpose=True)
 
     def dump_triplets_csv(self, path):
         """Debug export: one (row, grid index, weight) triplet per line."""
@@ -455,6 +493,121 @@ class WeightMatrix:
         n, m = self.shape
         return (f"WeightMatrix({n}x{m}, rule={self.rule.kind}, "
                 f"method={self.method}, nnz={self.nnz})")
+
+
+def shard_count():
+    """Row shards of a W at or above SHARD_MIN_NNZ: the CPUs this process
+    may run on (a process pinned to one CPU shards nothing)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _shard_pool():
+    """The process's shard thread pool, created on first use with one
+    worker fewer than shard_count(); the caller runs the last shard."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, shard_count() - 1),
+                                       thread_name_prefix="skigrid-W")
+        return _pool
+
+
+def _forget_pool():
+    # a forked child has the pool object but none of its threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _float_block(v, rows):
+    """Whether scipy would multiply v as a float64 vector or block of
+    ``rows`` rows; anything else goes to scipy itself."""
+    return (v.__class__ is np.ndarray and v.dtype == np.float64
+            and v.ndim in (1, 2) and v.shape[0] == rows)
+
+
+class _RowShards:
+    """A CSR matrix's rows in contiguous runs of about equal nnz.
+
+    A run is its row range and a view of the matrix's ``indptr`` over it;
+    the kernels read each row's entries at the offsets that view holds, in
+    the matrix's own ``indices`` and ``data``, so nothing is copied.
+    """
+
+    def __init__(self, matrix, count):
+        self.matrix = matrix
+        self.n_rows, self.n_cols = matrix.shape
+        indptr = matrix.indptr
+        targets = [k * matrix.nnz // count for k in range(1, count)]
+        bounds = [0, *np.searchsorted(indptr, targets).tolist(), self.n_rows]
+        self.runs = [(lo, hi, indptr[lo:hi + 1])
+                     for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def product(self, v, transpose):
+        """W v, or W^T v when ``transpose``, for a float64 (rows,) or
+        (rows, r) array; each run's kernel call is scipy's own."""
+        if v.ndim == 2 and v.shape[1] == 1:
+            # as in scipy: one column runs as a vector, whose kernel is 4x
+            # faster than the block kernel on one column
+            return self.product(v.ravel(), transpose).reshape(-1, 1)
+        v = np.ascontiguousarray(v)
+        tail = v.shape[1:]
+        if transpose:
+            parts = [np.zeros((self.n_cols,) + tail) for _ in self.runs]
+            self._map(lambda k: self._transposed(k, v, parts[k]))
+            out = parts[0]
+            for part in parts[1:]:
+                out += part
+            return out
+        out = np.zeros((self.n_rows,) + tail)
+        self._map(lambda k: self._rows(k, v, out))
+        return out
+
+    def _rows(self, k, v, out):
+        # out[lo:hi] += W[lo:hi] v
+        lo, hi, indptr = self.runs[k]
+        m = self.matrix
+        if v.ndim == 1:
+            _sparsetools.csr_matvec(hi - lo, self.n_cols, indptr, m.indices,
+                                    m.data, v, out[lo:hi])
+        else:
+            _sparsetools.csr_matvecs(hi - lo, self.n_cols, v.shape[1], indptr,
+                                     m.indices, m.data, v.ravel(),
+                                     out[lo:hi].ravel())
+
+    def _transposed(self, k, u, out):
+        # out += W[lo:hi]^T u[lo:hi]; W^T's run is CSC on the same arrays
+        lo, hi, indptr = self.runs[k]
+        m = self.matrix
+        if u.ndim == 1:
+            _sparsetools.csc_matvec(self.n_cols, hi - lo, indptr, m.indices,
+                                    m.data, u[lo:hi], out)
+        else:
+            _sparsetools.csc_matvecs(self.n_cols, hi - lo, u.shape[1], indptr,
+                                     m.indices, m.data, u[lo:hi].ravel(),
+                                     out.ravel())
+
+    def _map(self, fn):
+        """fn(k) for every run: the last on the calling thread, the others
+        on the pool; returns once all have finished."""
+        last = len(self.runs) - 1
+        pool = _shard_pool()
+        futures = [pool.submit(fn, k) for k in range(last)]
+        try:
+            fn(last)
+        finally:
+            wait(futures)
+        for f in futures:
+            f.result()
 
 
 def _merged_rows(cols, vals, size):

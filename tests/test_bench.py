@@ -112,6 +112,17 @@ class TestExperimentResult:
         with pytest.raises(TypeError):
             res.add("bad", {"nested": 1})
 
+    def test_header_records_w_apply_shards(self, tmp_path, monkeypatch):
+        # W^T's sums are split per row shard, so results say how many
+        import jsonschema
+
+        monkeypatch.setattr(bench, "shard_count", lambda: 3)
+        path = tmp_path / "out.jsonl"
+        self.make().write_json_lines(path)
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["metadata"]["w_apply_shards"] == 3
+        jsonschema.validate(header, bench.results_schema())
+
     def test_json_lines_validate_against_schema(self, tmp_path):
         import jsonschema
 

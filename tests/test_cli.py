@@ -108,6 +108,13 @@ class TestMvmBench:
                                                "naive"]
         assert any(r["metric"] == "cg_proxy_time" for r in lines[1:])
 
+    def test_per_row_times_need_verbose(self, runner, tmp_path):
+        quiet, _ = self.invoke_small(runner, tmp_path)
+        loud, _ = self.invoke_small(runner, tmp_path, "-v")
+        assert quiet.exit_code == 0 and loud.exit_code == 0
+        assert "ms/MVM" not in quiet.stderr and "mvm-bench:" in quiet.stderr
+        assert "ms/MVM" in loud.stderr
+
     def test_csv_output(self, runner, tmp_path):
         res, _ = self.invoke_small(runner, tmp_path, "--csv",
                                    str(tmp_path / "mvm.csv"))
@@ -215,6 +222,18 @@ class TestGpFitPredict:
         assert payload["y_standardization"]["mean"] == pytest.approx(y.mean())
         assert payload["cli"]["config"]["grid"] == "sparse"
         assert payload["cli"]["metadata"]["noise_interpretation"] == "std"
+
+    def test_model_file_records_w_apply_shards(self, runner, tmp_path,
+                                               monkeypatch):
+        # W^T's sums are split per row shard, so the file says how many
+        monkeypatch.setattr(bench, "shard_count", lambda: 3)
+        train = tmp_path / "train.csv"
+        make_train_csv(train, n=40, d=2, seed=3)
+        model = tmp_path / "model.json"
+        res = runner.invoke(main, self.fit_args(train, model, resolution=3))
+        assert res.exit_code == 0
+        payload = json.loads(model.read_text())
+        assert payload["cli"]["metadata"]["w_apply_shards"] == 3
 
     def test_malformed_csv_exit_1_with_line_number(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -2,7 +2,12 @@
 
 import itertools
 import math
+import multiprocessing
+import subprocess
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skigrid import interp
 from skigrid.grids import build_sparse_grid, rect_injection
 from skigrid.interp import (
     BaseRule,
@@ -477,6 +483,181 @@ class TestAssembleW:
         dense_row = scipy.sparse.csr_matrix(np.ones((1, 4)))
         with pytest.raises(RuntimeError, match="4 entries.*at most 3"):
             WeightMatrix(dense_row, BaseRule("simplicial"), "rect", 1, 2)
+
+
+def weight_matrix(dense):
+    """A WeightMatrix around any small matrix: its density bound is loose."""
+    return WeightMatrix(scipy.sparse.csr_matrix(dense), BaseRule("simplicial"),
+                        "combination", dense.shape[1] + 1, 1)
+
+
+def assert_matches_csr(W, rng):
+    """apply and apply_transpose on 1-D, one-column and 5-column inputs:
+    W v bit-identical to scipy's CSR product, W^T u within 1e-13."""
+    n, m = W.shape
+    for tail in ((), (1,), (5,)):
+        v = rng.standard_normal((m,) + tail)
+        np.testing.assert_array_equal(W.apply(v), W.matrix @ v, strict=True)
+        u = rng.standard_normal((n,) + tail)
+        got, want = W.apply_transpose(u), W.matrix.T @ u
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.fixture
+def two_shards(monkeypatch):
+    monkeypatch.setattr(interp, "shard_count", lambda: 2)
+
+
+@pytest.fixture
+def any_size(monkeypatch):
+    monkeypatch.setattr(interp, "SHARD_MIN_NNZ", 0)
+
+
+class TestRowShards:
+    def test_threshold(self, two_shards):
+        # the first rows of a d=6, l=4 W, cut just below and just above
+        rng = np.random.default_rng(61)
+        full = assemble_W(rng.uniform(0, 1, (700, 6)), build_sparse_grid(4, 6))
+        k = int(np.searchsorted(full.matrix.indptr, interp.SHARD_MIN_NNZ))
+        below, above = (weight_matrix(full.matrix[:rows]) for rows in (k - 1, k))
+        assert below.nnz < interp.SHARD_MIN_NNZ <= above.nnz
+        assert below._shards is None and above._shards is not None
+        assert_matches_csr(below, rng)
+        assert_matches_csr(above, rng)
+
+    @pytest.mark.parametrize("shards", [2, 3, 4, 16])
+    def test_empty_rows_at_shard_edges(self, shards, any_size, monkeypatch):
+        # rows 0, 4-7 and 11 are empty: two shards cut at row 4, so the
+        # second run starts on four empty rows, and 16 shards over 12 rows
+        # leave runs with no rows at all
+        monkeypatch.setattr(interp, "shard_count", lambda: shards)
+        rng = np.random.default_rng(67)
+        dense = np.zeros((12, 9))
+        for i in (1, 2, 3, 8, 9, 10):
+            dense[i, rng.choice(9, 3, replace=False)] = rng.standard_normal(3)
+        W = weight_matrix(dense)
+        bounds = [(lo, hi) for lo, hi, _ in W._shards.runs]
+        assert len(bounds) == shards and bounds[0][0] == 0
+        assert bounds[-1][1] == 12
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        if shards == 2:
+            assert bounds == [(0, 4), (4, 12)]
+        assert_matches_csr(W, rng)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_rows_and_one_row(self, n, two_shards, any_size):
+        rng = np.random.default_rng(71)
+        W = assemble_W(rng.uniform(0, 1, (n, 3)), build_sparse_grid(3, 3))
+        assert W._shards is not None
+        assert_matches_csr(W, rng)
+
+    def test_other_dtypes_strides_and_shapes(self, two_shards, any_size):
+        rng = np.random.default_rng(73)
+        W = assemble_W(rng.uniform(0, 1, (40, 3)), build_sparse_grid(3, 3))
+        v = rng.standard_normal(W.shape[1])
+        for w in (v.astype(np.float32), v.tolist(), v[::-1]):
+            np.testing.assert_array_equal(W.apply(w), W.matrix @ w)
+        with pytest.raises(ValueError):
+            W.apply(v[:-1])
+
+    def test_one_cpu_is_the_plain_product(self, monkeypatch):
+        # no shards, no pool: the parent's single CSR product, bit for bit
+        def no_pool():
+            raise AssertionError("the shard pool was used")
+        monkeypatch.setattr(interp, "shard_count", lambda: 1)
+        monkeypatch.setattr(interp, "_shard_pool", no_pool)
+        rng = np.random.default_rng(79)
+        W = assemble_W(rng.uniform(0, 1, (700, 6)), build_sparse_grid(4, 6))
+        assert W.nnz >= interp.SHARD_MIN_NNZ and W._shards is None
+        for tail in ((), (1,), (5,)):
+            v = rng.standard_normal((W.shape[1],) + tail)
+            np.testing.assert_array_equal(W.apply(v), W.matrix @ v, strict=True)
+            u = rng.standard_normal((W.shape[0],) + tail)
+            np.testing.assert_array_equal(W.apply_transpose(u),
+                                          W.matrix.T @ u, strict=True)
+
+    def test_transpose_sums_in_shard_order(self, any_size, monkeypatch):
+        # same shard count, same bits; the summation order is the shards'
+        monkeypatch.setattr(interp, "shard_count", lambda: 3)
+        rng = np.random.default_rng(83)
+        W = assemble_W(rng.uniform(0, 1, (500, 4)), build_sparse_grid(4, 4))
+        u = rng.standard_normal(W.shape[0])
+        want = sum(W.matrix[lo:hi].T @ u[lo:hi] for lo, hi, _ in W._shards.runs)
+        for _ in range(5):
+            np.testing.assert_array_equal(W.apply_transpose(u), want)
+
+    def test_concurrent_callers(self, any_size, monkeypatch):
+        # more calling threads than cores share the pool; no call may see
+        # another's output
+        monkeypatch.setattr(interp, "shard_count", lambda: 3)
+        rng = np.random.default_rng(89)
+        W = assemble_W(rng.uniform(0, 1, (300, 4)), build_sparse_grid(4, 4))
+        v = rng.standard_normal((W.shape[1], 2))
+        u = rng.standard_normal(W.shape[0])
+        want_v, want_u = W.matrix @ v, W.apply_transpose(u)
+        failures = []
+
+        def call():
+            try:
+                for _ in range(30):
+                    if not (np.array_equal(W.apply(v), want_v) and
+                            np.array_equal(W.apply_transpose(u), want_u)):
+                        failures.append("wrong result")
+            except Exception as exc:
+                failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+    def test_pool_starts_on_first_sharded_apply(self):
+        # importing starts no thread; three shards start at most two pool
+        # workers (the pool adds one per submit while none is idle)
+        code = (
+            "import threading\n"
+            "import numpy as np\n"
+            "import skigrid\n"
+            "from skigrid import interp\n"
+            "assert threading.active_count() == 1\n"
+            "interp.shard_count = lambda: 3\n"
+            "interp.SHARD_MIN_NNZ = 0\n"
+            "W = interp.assemble_W(np.full((30, 2), 0.3),"
+            " skigrid.build_sparse_grid(3, 2))\n"
+            "W.apply_transpose(np.ones(30))\n"
+            "assert 1 < threading.active_count() <= 3\n")
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+    def test_forked_child_starts_its_own_pool(self, two_shards, any_size):
+        # a forked child inherits the pool object but not its threads
+        rng = np.random.default_rng(97)
+        W = assemble_W(rng.uniform(0, 1, (100, 3)), build_sparse_grid(3, 3))
+        u = rng.standard_normal(W.shape[0])
+        want = W.apply_transpose(u)
+
+        def child():
+            if not np.array_equal(W.apply_transpose(u), want):
+                raise SystemExit(1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        with warnings.catch_warnings():
+            # newer Pythons warn when a process with threads forks
+            warnings.simplefilter("ignore", DeprecationWarning)
+            proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+        assert proc.exitcode == 0
 
 
 class TestConvergence:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from skigrid import interp
 from skigrid.grids import build_sparse_grid
 from skigrid.interp import BaseRule, WeightMatrix, assemble_W
 from skigrid.kernels import ProductKernel
@@ -278,16 +279,27 @@ class TestFitPredict:
         np.testing.assert_allclose(model.alpha, np.linalg.solve(Kt, y),
                                    rtol=0, atol=1e-8)
 
-    def test_fits_are_bit_identical(self):
-        # the sketch's test matrix is seeded, so repeated fits agree exactly
-        rng = np.random.default_rng(49)
-        X = rng.uniform(0, 1, (300, 3))
-        y = np.cos(X.sum(axis=1)) + 0.05 * rng.standard_normal(300)
-        cfg = quick_cfg(3, ell=4, sigma2=0.0025, tol=1e-6)
-        a, b = fit(cfg, X, y), fit(cfg, X, y)
-        assert a.fit_stats.precond_rank > 0
-        np.testing.assert_array_equal(a.alpha, b.alpha)
-        assert a.fit_stats.residual_norms == b.fit_stats.residual_norms
+    def test_fits_are_bit_identical(self, monkeypatch):
+        # the sketch's test matrix is seeded and W^T sums its row shards in
+        # a fixed order, so repeated fits agree exactly; at n = 3000, d = 4
+        # W is over SHARD_MIN_NNZ and runs on two shards
+        monkeypatch.setattr(interp, "shard_count", lambda: 2)
+        for n, d in ((300, 3), (3000, 4)):
+            rng = np.random.default_rng(49)
+            X = rng.uniform(0, 1, (n, d))
+            y = np.cos(X.sum(axis=1)) + 0.05 * rng.standard_normal(n)
+            cfg = quick_cfg(d, ell=4, sigma2=0.0025, tol=1e-6)
+            a, b = fit(cfg, X, y), fit(cfg, X, y)
+            assert a.fit_stats.precond_rank > 0
+            np.testing.assert_array_equal(a.alpha, b.alpha)
+            assert a.fit_stats.residual_norms == b.fit_stats.residual_norms
+            # true residual through the recursive MVM and scipy's products
+            W = assemble_W(a.domain_map.forward(X), a.grid)
+            assert (W._shards is not None) == (n == 3000)
+            Ka = W.matrix @ sg_mvm(build_plan(4, d, cfg.kernel),
+                                   W.matrix.T @ a.alpha)
+            resid = y - Ka - cfg.sigma2 * a.alpha
+            assert np.linalg.norm(resid) <= 1e-6 * np.linalg.norm(y)
 
     def test_noiseless_interpolation_recovers_prior_sample(self):
         rng = np.random.default_rng(41)
