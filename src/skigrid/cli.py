@@ -147,9 +147,6 @@ class _ContractGroup(click.Group):
     def main(self, *args, standalone_mode=True, **extra):
         try:
             rv = super().main(*args, standalone_mode=False, **extra)
-        except click.UsageError as exc:
-            exc.show()
-            sys.exit(EXIT_INPUT)
         except click.ClickException as exc:
             exc.show()
             sys.exit(EXIT_INPUT)

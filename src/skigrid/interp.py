@@ -17,13 +17,15 @@ spacings, offsets and row-major strides, with (C,) coefficients and one
 table concatenating every component's rect_injection; a corner's column is
 that table at its component's base plus its row-major index, so no point
 lookup is needed.  A UniformLattice is the C = 1 case with no injection.
-Points go through in row blocks sized from a byte budget.  In a block the
-cells and local coordinates are (rows, C, d) arrays; the simplicial rule
-sorts them with one argsort and walks the Kuhn simplex by cumulative
-strides (Kapoor et al., "SKIing on Simplices", ICML 2021); the tensor rules
-run one pass per stencil shape, the ordered widths of a component's
-multi-point axes.  Entries keep component-then-corner order within a row,
-so duplicates merge in the same order whatever the block size.
+Points go through in row blocks sized from a byte budget.  Every rule runs
+one pass per stencil shape, the ordered widths of a component's multi-point
+axes, with the cells and local coordinates of a pass's c components on
+their k such axes as (rows, c, k) arrays: the tensor rules take the
+products of per-axis stencils; the simplicial rule sorts the coordinates
+with one argsort and walks the Kuhn simplex by cumulative strides, k + 1
+corners (Kapoor et al., "SKIing on Simplices", ICML 2021).  Entries keep
+component-then-corner order within a row, so duplicates merge in the same
+order whatever the block size.
 
 Out-of-hull queries are handled by clamping the cell index and local
 coordinate, which keeps rows a partition of unity; level-0 (single-point)
@@ -35,7 +37,6 @@ sparse kernels release the interpreter lock.  W v is bit-identical to the
 single product; W^T u sums one partial per shard in shard order.
 """
 
-import csv
 import math
 import os
 import threading
@@ -140,11 +141,12 @@ class UniformLattice:
 
 def _local_cell(T, counts):
     """Clamped base-cell index and in-cell coordinate of lattice coordinates
-    T (..., d) on lattices of ``counts`` points per axis (..., d)."""
+    T (..., d) on lattices of ``counts`` points per axis (..., d).  On a
+    single-point axis the cell is 0 and the coordinate means nothing: the
+    passes leave such axes out, tensor_corners skips and
+    simplicial_corners zeroes them."""
     cell = np.clip(np.floor(T), 0, np.maximum(counts - 2, 0)).astype(np.int64)
-    r = np.clip(T - cell, 0.0, 1.0)
-    r[..., counts == 1] = 0.0  # constant dimension: no interpolation
-    return cell, r
+    return cell, np.clip(T - cell, 0.0, 1.0)
 
 
 def _kuhn(r):
@@ -152,16 +154,16 @@ def _kuhn(r):
 
     The coordinates sorted descending (ties by ascending dimension) give
     the order in which the walk from the base corner steps along each
-    dimension, and the barycentric weights (..., d+1) are their
-    consecutive differences.
+    dimension, and the barycentric weights (..., d+1) are the consecutive
+    differences of [1, sorted r, 0]; with d = 0 the one corner weighs 1.
     """
-    order = np.argsort(-r, axis=-1, kind="stable")
-    rs = np.take_along_axis(r, order, axis=-1)
-    w = np.empty(r.shape[:-1] + (r.shape[-1] + 1,))
-    w[..., 0] = 1.0 - rs[..., 0]
-    w[..., 1:-1] = rs[..., :-1] - rs[..., 1:]
-    w[..., -1] = rs[..., -1]
-    return order, w
+    neg = -r
+    order = np.argsort(neg, axis=-1, kind="stable")
+    end = np.ones(r.shape[:-1] + (1,))
+    # the stable sort puts r in walk order, as r taken along ``order`` would
+    rs = np.concatenate([end, -np.sort(neg, axis=-1, kind="stable"), 0 * end],
+                        axis=-1)
+    return order, rs[..., :-1] - rs[..., 1:]
 
 
 def _keys_cubic(s):
@@ -173,10 +175,8 @@ def _keys_cubic(s):
 
 
 def _stencil_widths(counts, kind):
-    """Tensor stencil width per axis: 1 on single-point axes, 4 for cubic
-    on axes of at least 4 points, else 2 (linear)."""
-    if kind not in ("linear", "cubic"):
-        raise ValueError(f"tensor rule must be linear or cubic, got {kind!r}")
+    """Stencil width per axis: 1 on single-point axes, 4 for cubic on axes
+    of at least 4 points, else 2 (linear, and the simplicial walk's step)."""
     wide = 4 if kind == "cubic" else 2
     return np.where(counts == 1, 1, np.where(counts >= 4, wide, 2))
 
@@ -197,6 +197,7 @@ def _stencil_1d(cell, r, count, width):
 def simplicial_corners(X, lat):
     """Kuhn-simplex corners (n, d+1, d) and barycentric weights (n, d+1)."""
     cell, r = _local_cell((X - lat.offsets) / lat.spacings, lat.counts)
+    r[:, lat.counts == 1] = 0.0  # single-point axis: a step of weight 0
     n, d = X.shape
     order, w = _kuhn(r)
     steps = np.concatenate(
@@ -297,10 +298,11 @@ def _components(resolution, dim, method):
 
 @dataclass(frozen=True)
 class _StencilPass:
-    """The components sharing one tensor stencil shape, restricted to their
-    k multi-point axes: ``axes``, counts, spacings, offsets and strides are
+    """The components sharing one stencil shape, restricted to their k
+    multi-point axes: ``axes``, counts, spacings, offsets and strides are
     (c, k); ``bases`` and ``coeffs`` are (c,); ``slots`` are the entries'
-    positions in a row, component-then-corner."""
+    positions in a row, component-then-corner (k + 1 per component for the
+    simplicial rule, the product of ``widths`` for the tensor rules)."""
 
     widths: tuple
     axes: np.ndarray
@@ -314,13 +316,12 @@ class _StencilPass:
 
 
 class _Components:
-    """Component lattices stacked as (C, d) tables.
+    """Component lattices stacked as (C, d) tables, grouped per rule into
+    one pass per stencil shape.
 
-    ``strides`` are row-major; ``steps`` equal them on multi-point axes and
-    are 0 on single-point ones, where the Kuhn walk's step is clamped away.
-    ``columns`` concatenates every component's rect_injection, component c
-    from ``bases[c]``; it is None for a lone lattice, whose row-major
-    indices are the columns.
+    ``strides`` are row-major.  ``columns`` concatenates every component's
+    rect_injection, component c from ``bases[c]``; it is None for a lone
+    lattice, whose row-major indices are the columns.
     """
 
     def __init__(self, counts, spacings, offsets, coeffs, injections=None):
@@ -331,7 +332,6 @@ class _Components:
         self.n_grids, self.dim = self.counts.shape
         self.strides = np.ones_like(self.counts)
         self.strides[:, :-1] = np.cumprod(self.counts[:, :0:-1], axis=1)[:, ::-1]
-        self.steps = np.where(self.counts > 1, self.strides, 0)
         if injections is None:
             self.columns, self.bases = None, np.zeros(self.n_grids, dtype=np.int64)
         else:
@@ -339,10 +339,9 @@ class _Components:
             self.bases = np.cumsum(sizes) - sizes
             # int32 columns go into scipy's CSR without a copy
             self.columns = np.concatenate(injections).astype(np.int32)
-        self.passes = {kind: self._stencil_passes(kind) for kind in ("linear", "cubic")}
-        self.row_entries = {"simplicial": self.n_grids * (self.dim + 1)}
-        for kind, passes in self.passes.items():
-            self.row_entries[kind] = sum(p.slots.size for p in passes)
+        self.passes = {kind: self._stencil_passes(kind) for kind in RULE_KINDS}
+        self.row_entries = {kind: sum(p.slots.size for p in passes)
+                            for kind, passes in self.passes.items()}
 
     @classmethod
     def lattice(cls, lat):
@@ -350,13 +349,14 @@ class _Components:
 
     def _stencil_passes(self, kind):
         widths = _stencil_widths(self.counts, kind)
-        sizes = widths.prod(axis=1)
+        multi = widths > 1
+        sizes = multi.sum(axis=1) + 1 if kind == "simplicial" else widths.prod(axis=1)
         starts = np.cumsum(sizes) - sizes
         shapes = [tuple(int(w) for w in row if w > 1) for row in widths]
         passes = []
         for shape in sorted(set(shapes)):
             comps = np.array([c for c, s in enumerate(shapes) if s == shape])
-            axes = np.nonzero(widths[comps] > 1)[1].reshape(len(comps), len(shape))
+            axes = np.nonzero(multi[comps])[1].reshape(len(comps), len(shape))
             rows = comps[:, None]
             passes.append(_StencilPass(
                 shape, axes, self.counts[rows, axes], self.spacings[rows, axes],
@@ -370,43 +370,51 @@ class _Components:
         BLOCK_BYTES."""
         return max(1, BLOCK_BYTES // (8 * self.row_entries[kind]))
 
-    def simplicial_block(self, X):
-        """Row-major indices plus bases, and weights, (m, C(d+1))."""
-        cell, r = _local_cell((X[:, None, :] - self.offsets) / self.spacings,
-                              self.counts)
-        order, w = _kuhn(r)
-        flat = np.empty(w.shape, dtype=np.int64)
-        flat[..., 0] = (cell * self.strides).sum(axis=-1) + self.bases
-        np.cumsum(np.take_along_axis(self.steps[None], order, axis=-1),
-                  axis=-1, out=flat[..., 1:])
-        flat[..., 1:] += flat[..., :1]
-        w *= self.coeffs[:, None]
-        shape = (len(X), self.row_entries["simplicial"])
-        return flat.reshape(shape), w.reshape(shape)
-
-    def tensor_block(self, X, kind):
-        """As simplicial_block, one pass per stencil shape."""
+    def block(self, X, kind):
+        """Row-major indices plus bases, and weights, of X's rows under
+        rule ``kind``: (m, row_entries[kind]) each, one pass per stencil
+        shape on its components' multi-point axes."""
         m = len(X)
         flat_out = np.empty((m, self.row_entries[kind]), dtype=np.int64)
         w_out = np.empty((m, self.row_entries[kind]))
         for p in self.passes[kind]:
-            c = len(p.bases)
             cell, r = _local_cell((X[:, p.axes] - p.offsets) / p.spacings, p.counts)
-            flat = np.broadcast_to(p.bases[:, None], (m, c, 1))
-            w = np.ones((m, c, 1))
-            # single-point axes add one slot of weight exactly 1.0, so
-            # leaving them out changes neither the slot order nor a product
-            for j, width in enumerate(p.widths):
-                idx, wj = _stencil_1d(cell[..., j : j + 1], r[..., j : j + 1],
-                                      p.counts[:, j : j + 1], width)
-                idx *= p.strides[:, j : j + 1]
-                shape = (m, c, w.shape[-1] * width)
-                flat = (flat[..., :, None] + idx[..., None, :]).reshape(shape)
-                w = (w[..., :, None] * wj[..., None, :]).reshape(shape)
+            if kind == "simplicial":
+                flat, w = _simplex_pass(p, cell, r)
+            else:
+                flat, w = _tensor_pass(p, cell, r)
             w *= p.coeffs[:, None]
             flat_out[:, p.slots] = flat.reshape(m, p.slots.size)
             w_out[:, p.slots] = w.reshape(m, p.slots.size)
         return flat_out, w_out
+
+
+def _simplex_pass(p, cell, r):
+    """Kuhn-walk corners and weights (m, c, k+1): the base corner plus the
+    cumulative strides in walk order."""
+    order, w = _kuhn(r)
+    steps = np.empty(w.shape, dtype=np.int64)
+    steps[..., 0] = (cell * p.strides).sum(axis=-1) + p.bases
+    steps[..., 1:] = p.strides[np.arange(len(p.bases))[:, None], order]
+    return steps.cumsum(axis=-1), w
+
+
+def _tensor_pass(p, cell, r):
+    """Tensor-stencil corners and weights (m, c, prod(widths)), the last
+    axis varying fastest."""
+    m, c = cell.shape[:2]
+    flat = np.broadcast_to(p.bases[:, None], (m, c, 1))
+    w = np.ones((m, c, 1))
+    # single-point axes add one slot of weight exactly 1.0, so leaving them
+    # out changes neither the slot order nor a product
+    for j, width in enumerate(p.widths):
+        idx, wj = _stencil_1d(cell[..., j : j + 1], r[..., j : j + 1],
+                              p.counts[:, j : j + 1], width)
+        idx *= p.strides[:, j : j + 1]
+        shape = (m, c, w.shape[-1] * width)
+        flat = (flat[..., :, None] + idx[..., None, :]).reshape(shape)
+        w = (w[..., :, None] * wj[..., None, :]).reshape(shape)
+    return flat, w
 
 
 @lru_cache(maxsize=None)
@@ -479,15 +487,6 @@ class WeightMatrix:
         if self._shards is None or not _float_block(u, self.shape[0]):
             return self.matrix.T @ u
         return self._shards.product(u, transpose=True)
-
-    def dump_triplets_csv(self, path):
-        """Debug export: one (row, grid index, weight) triplet per line."""
-        coo = self.matrix.tocoo()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row", "grid_index", "weight"])
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                writer.writerow([int(i), int(j), repr(float(v))])
 
     def __repr__(self):
         n, m = self.shape
@@ -653,10 +652,7 @@ def assemble_W(X, grid, rule=BaseRule(), method="combination"):
     blocks = []
     for start in range(0, max(n, 1), step):
         Xb = X[start : start + step]
-        if rule.kind == "simplicial":
-            flat, vals = comps.simplicial_block(Xb)
-        else:
-            flat, vals = comps.tensor_block(Xb, rule.kind)
+        flat, vals = comps.block(Xb, rule.kind)
         cols = flat if comps.columns is None else comps.columns[flat]
         blocks.append(_merged_rows(cols, vals, grid.size))
     indptr = np.zeros(n + 1, dtype=np.int64)

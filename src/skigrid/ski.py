@@ -283,14 +283,6 @@ class DomainMap:
             * (1 - 2 * self.delta)
         return out
 
-    def inverse(self, U):
-        U = np.asarray(U, dtype=np.float64)
-        out = np.broadcast_to(self.lo, U.shape).copy()
-        ok = self.width > 0
-        out[:, ok] = self.lo[ok] + (U[:, ok] - self.delta) * self.width[ok] \
-            / (1 - 2 * self.delta)
-        return out
-
     def to_json(self):
         return {"lo": self.lo.tolist(), "width": self.width.tolist(),
                 "delta": self.delta}

@@ -402,19 +402,6 @@ class TestAssembleW:
         assert W.max_row_nnz <= W.density_bound
         assert W.n_grids == len(combination_components(4, 6))
 
-    def test_triplet_csv(self, tmp_path):
-        rng = np.random.default_rng(41)
-        X = rng.uniform(0, 1, (8, 2))
-        W = assemble_W(X, build_sparse_grid(2, 2))
-        path = tmp_path / "w.csv"
-        W.dump_triplets_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "row,grid_index,weight"
-        assert len(lines) == W.nnz + 1
-        r, c, v = lines[1].split(",")
-        got = W.matrix[int(r), int(c)]
-        assert float(v) == pytest.approx(got, rel=1e-15)
-
     def test_validation(self):
         g = build_sparse_grid(2, 2)
         with pytest.raises(ValueError):
@@ -442,7 +429,7 @@ class TestAssembleW:
         assert w[cols == first][0] == pytest.approx(far(1.3) + near(0.3),
                                                     abs=1e-12)
 
-    @pytest.mark.parametrize("kind", ["simplicial", "cubic"])
+    @pytest.mark.parametrize("kind", ["simplicial", "linear", "cubic"])
     def test_block_edges_match_one_row_calls(self, kind):
         # rows are merged block by block; W must not depend on where a
         # block ends
@@ -458,13 +445,40 @@ class TestAssembleW:
                 np.testing.assert_array_equal(getattr(got, attr),
                                               getattr(want, attr))
 
+    def test_simplicial_walks_multi_point_axes_only(self):
+        # a component with k multi-point axes takes k + 1 slots of a row:
+        # 714 at G(4, 6), where a walk over all d axes takes C(d + 1) = 1470
+        comps = _grid_components(4, 6, "combination")
+        k = (comps.counts > 1).sum(axis=1)
+        assert comps.row_entries["simplicial"] == (k + 1).sum() == 714
+        slots = []
+        for p in comps.passes["simplicial"]:
+            assert (p.counts > 1).all()
+            per_comp = p.slots.reshape(len(p.bases), -1)
+            assert per_comp.shape[1] == p.axes.shape[1] + 1
+            assert (np.diff(per_comp, axis=1) == 1).all()
+            slots.append(p.slots)
+        np.testing.assert_array_equal(np.sort(np.concatenate(slots)),
+                                      np.arange(714))
+
+    @pytest.mark.parametrize("kind", ["simplicial", "linear"])
+    def test_block_rows_hold_each_column_once(self, kind):
+        # the Kuhn walk and the linear stencil reach distinct points of one
+        # component, and components are disjoint: nothing is left to merge
+        comps = _grid_components(4, 6, "combination")
+        X = np.random.default_rng(67).uniform(-0.1, 1.1, (60, 6))
+        X[:20] = np.round(X[:20] * 8) / 8  # on lattice lines, with ties
+        flat, _ = comps.block(X, kind)
+        cols = np.sort(comps.columns[flat], axis=1)
+        assert (np.diff(cols, axis=1) > 0).all()
+
     def test_no_points(self):
         for grid in (build_sparse_grid(3, 2), UniformLattice.unit(2, 5)):
             W = assemble_W(np.zeros((0, 2)), grid)
             assert W.shape == (0, grid.size) and W.nnz == 0
 
     def test_assembly_memory_is_bounded(self):
-        # d=6, l=4: 1470 unmerged entries per row merge to ~490; row blocks
+        # d=6, l=4: 714 unmerged entries per row merge to ~510; row blocks
         # keep the peak within a small multiple of W itself
         g = build_sparse_grid(4, 6)
         X = np.random.default_rng(61).uniform(0, 1, (2000, 6))
