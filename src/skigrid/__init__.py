@@ -23,6 +23,7 @@ from .interp import (
     UniformLattice,
     WeightMatrix,
     assemble_W,
+    interpolate,
     interpolate_direct,
 )
 from .kernels import ProductKernel
@@ -70,6 +71,7 @@ __all__ = [
     "fit",
     "fit_loglog_slope",
     "gen_synthetic",
+    "interpolate",
     "interpolate_direct",
     "load_model",
     "matched_dense_side",

@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from .grids import build_sparse_grid, sparse_grid_size
-from .interp import BaseRule, UniformLattice, assemble_W, shard_count
+from .interp import BaseRule, UniformLattice, interpolate, shard_count
 from .kernels import ProductKernel
 from .sgmvm import build_plan, sg_mvm, sg_mvm_batched
 from .ski import CgConfig, CgFailure, GpConfig, exact_gp_oracle, fit, \
@@ -393,7 +393,7 @@ def run_interp_accuracy(task, grids=None, rules=("simplicial",), n_eval=200):
             raise ValueError(f"grid kind must be sparse or dense, got {kind!r}")
         f_grid = task.evaluate(grid.points())
         for rule in rules:
-            err = assemble_W(Xe, grid, BaseRule(rule)).apply(f_grid) - fe
+            err = interpolate(Xe, grid, f_grid, BaseRule(rule)) - fe
             rms = float(np.sqrt(np.mean(err**2)))
             key = {"kind": kind, "size": size, "rule": rule, "d": d,
                    "function": task.function}

@@ -27,6 +27,13 @@ corners (Kapoor et al., "SKIing on Simplices", ICML 2021).  Entries keep
 component-then-corner order within a row, so duplicates merge in the same
 order whatever the block size.
 
+interpolate evaluates W(X) @ values through the same passes and row blocks
+without forming W: each pass gathers the grid values of its entries and
+adds coefficient * weight * value into its rows, with no merge and no CSR.
+The fit builds W once and applies it twice per CG iteration; predictions
+and the interpolation benchmark evaluate grid values once per point, so
+they take this route.
+
 Out-of-hull queries are handled by clamping the cell index and local
 coordinate, which keeps rows a partition of unity; level-0 (single-point)
 dimensions carry all their weight on the lone coordinate.
@@ -61,7 +68,8 @@ BLOCK_BYTES = 2 << 20
 # waiting for it costs 40-50 us (2-vCPU x86 VM, 1 BLAS thread, best of 300),
 # so two shards break even between 130k and 200k non-zeros (d=6, l=4: 256
 # to 384 rows) and save 25-35% at 2**18 (W v 0.24 -> 0.16-0.18 ms) and 1.5x
-# at 520k.  Requests of up to 256 points at d=6, l=4 stay below it.
+# at 520k.  Requests build no W (see interpolate); at d=6, l=4 a W of about
+# 515 rows or more (~509 non-zeros a row) is sharded.
 SHARD_MIN_NNZ = 1 << 18
 
 
@@ -370,20 +378,24 @@ class _Components:
         BLOCK_BYTES."""
         return max(1, BLOCK_BYTES // (8 * self.row_entries[kind]))
 
+    def evaluated(self, X, kind):
+        """Yield (pass, flat, w) for X's rows under rule ``kind``, one per
+        stencil shape on its components' multi-point axes: row-major
+        indices plus bases, and coefficient-scaled weights, (m, c, slots)."""
+        pass_fn = _simplex_pass if kind == "simplicial" else _tensor_pass
+        for p in self.passes[kind]:
+            cell, r = _local_cell((X[:, p.axes] - p.offsets) / p.spacings, p.counts)
+            flat, w = pass_fn(p, cell, r)
+            w *= p.coeffs[:, None]
+            yield p, flat, w
+
     def block(self, X, kind):
         """Row-major indices plus bases, and weights, of X's rows under
-        rule ``kind``: (m, row_entries[kind]) each, one pass per stencil
-        shape on its components' multi-point axes."""
+        rule ``kind``: (m, row_entries[kind]) each."""
         m = len(X)
         flat_out = np.empty((m, self.row_entries[kind]), dtype=np.int64)
         w_out = np.empty((m, self.row_entries[kind]))
-        for p in self.passes[kind]:
-            cell, r = _local_cell((X[:, p.axes] - p.offsets) / p.spacings, p.counts)
-            if kind == "simplicial":
-                flat, w = _simplex_pass(p, cell, r)
-            else:
-                flat, w = _tensor_pass(p, cell, r)
-            w *= p.coeffs[:, None]
+        for p, flat, w in self.evaluated(X, kind):
             flat_out[:, p.slots] = flat.reshape(m, p.slots.size)
             w_out[:, p.slots] = w.reshape(m, p.slots.size)
         return flat_out, w_out
@@ -619,6 +631,26 @@ def _merged_rows(cols, vals, size):
     return rows
 
 
+def _prepared(X, grid, rule, method):
+    """Checked float64 X (n, d), the BaseRule, the grid's stacked
+    components and the method W records ("rect" on a lattice)."""
+    rule = _as_rule(rule)
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("X must be (n, d)")
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite")
+    d = X.shape[1]
+    if not isinstance(grid, (SparseGrid, UniformLattice)):
+        raise TypeError(f"grid must be SparseGrid or UniformLattice, "
+                        f"got {type(grid).__name__}")
+    if grid.dim != d:
+        raise ValueError(f"points have dim {d}, grid has dim {grid.dim}")
+    if isinstance(grid, UniformLattice):
+        return X, rule, _Components.lattice(grid), "rect"
+    return X, rule, _grid_components(grid.resolution, d, method), method
+
+
 def assemble_W(X, grid, rule=BaseRule(), method="combination"):
     """Interpolation matrix for query points X over a sparse grid or lattice.
 
@@ -631,23 +663,8 @@ def assemble_W(X, grid, rule=BaseRule(), method="combination"):
     duplicates merged in component-then-corner order and the blocks'
     CSR arrays are concatenated, so W does not depend on the block size.
     """
-    rule = _as_rule(rule)
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("X must be (n, d)")
-    if not np.isfinite(X).all():
-        raise ValueError("X must be finite")
+    X, rule, comps, method = _prepared(X, grid, rule, method)
     n, d = X.shape
-    if not isinstance(grid, (SparseGrid, UniformLattice)):
-        raise TypeError(f"grid must be SparseGrid or UniformLattice, "
-                        f"got {type(grid).__name__}")
-    if grid.dim != d:
-        raise ValueError(f"points have dim {d}, grid has dim {grid.dim}")
-    if isinstance(grid, UniformLattice):
-        comps, method = _Components.lattice(grid), "rect"
-    else:
-        comps = _grid_components(grid.resolution, d, method)
-
     step = comps.block_rows(rule.kind)
     blocks = []
     for start in range(0, max(n, 1), step):
@@ -663,6 +680,30 @@ def assemble_W(X, grid, rule=BaseRule(), method="combination"):
         shape=(n, grid.size),
     )
     return WeightMatrix(mat, rule, method, comps.n_grids, d)
+
+
+def interpolate(X, grid, values, rule=BaseRule(), method="combination"):
+    """W(X) @ values for grid values (grid.size,), without forming W.
+
+    Runs assemble_W's passes on the same row blocks, gathers each entry's
+    grid value and sums coefficient * weight * value into its row: no
+    merge, no CSR.  Within roundoff of assemble_W(X, grid, rule,
+    method).apply(values), and checked the same way.
+    """
+    X, rule, comps, _ = _prepared(X, grid, rule, method)
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (grid.size,):
+        raise ValueError(f"values has shape {values.shape}; the grid has "
+                         f"{grid.size} points")
+    # the grid values in component-table order: one gather per call
+    g = values if comps.columns is None else values[comps.columns]
+    out = np.zeros(len(X))
+    step = comps.block_rows(rule.kind)
+    for start in range(0, len(X), step):
+        rows = slice(start, start + step)
+        for _, flat, w in comps.evaluated(X[rows], rule.kind):
+            out[rows] += np.einsum("ick,ick->i", w, g[flat])
+    return out
 
 
 # ---- direct interpolation (index-free evaluation route) ---------------------

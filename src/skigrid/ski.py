@@ -5,7 +5,8 @@ row-sparse interpolation matrix onto a structured grid and K_G applied by a
 fast backend (sparse-grid plan, dense Kronecker lattice, or the naive dense
 reference).  Fitting solves (W K_G W^T + sigma^2 I) alpha = y by CG; the
 predictive mean is W_* (K_G (W^T alpha)), whose grid-sized inner part is
-precomputed once at fit time so prediction is a single sparse multiply.
+precomputed once at fit time, so prediction evaluates the interpolant of
+those grid values at the new points (interp.interpolate) and builds no W_*.
 
 An exact dense-GP oracle (Cholesky) provides reference means and marginal
 log-likelihoods for validation at desk scale.
@@ -21,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .grids import build_sparse_grid
-from .interp import BaseRule, UniformLattice, assemble_W
+from .interp import BaseRule, UniformLattice, assemble_W, interpolate
 from .kernels import KroneckerToeplitz, ProductKernel
 from .sgmvm import build_plan, sg_mvm_batched
 
@@ -357,10 +358,14 @@ class GpModel:
         if Xs.shape[1] != d:
             raise ValueError(f"Xs has {Xs.shape[1]} columns; the model was "
                              f"fitted on {d}")
+        # checked here, not only on U: forward maps a column that was
+        # constant in training to 0.5 whatever Xs holds there
+        if not np.isfinite(Xs).all():
+            raise ValueError("Xs must be finite")
         U = self.domain_map.forward(Xs)
-        Ws = assemble_W(U, self.grid, BaseRule(self.config.rule),
-                        method=self.config.method)
-        return Ws.apply(self.grid_dual) * self.y_std + self.y_mean
+        mean = interpolate(U, self.grid, self.grid_dual,
+                           BaseRule(self.config.rule), method=self.config.method)
+        return mean * self.y_std + self.y_mean
 
     def save(self, path, **extra):
         """Write the model as JSON; ``extra`` adds top-level keys."""

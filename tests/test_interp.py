@@ -24,6 +24,7 @@ from skigrid.interp import (
     _grid_components,
     assemble_W,
     combination_components,
+    interpolate,
     interpolate_direct,
     rule_density,
     subsampled_components,
@@ -497,6 +498,80 @@ class TestAssembleW:
         dense_row = scipy.sparse.csr_matrix(np.ones((1, 4)))
         with pytest.raises(RuntimeError, match="4 entries.*at most 3"):
             WeightMatrix(dense_row, BaseRule("simplicial"), "rect", 1, 2)
+
+
+def assert_matches_W_route(X, grid, values, kind, method="combination"):
+    """interpolate agrees with assemble_W(...).apply row by row, to 1e-12
+    of the row's sum of |w_j g_j|."""
+    W = assemble_W(X, grid, BaseRule(kind), method)
+    got = interpolate(X, grid, values, BaseRule(kind), method)
+    assert got.shape == (len(X),)
+    size = abs(W.matrix) @ np.abs(values)
+    assert (np.abs(got - W.apply(values)) <= 1e-12 * size).all()
+
+
+class TestInterpolate:
+    @pytest.mark.parametrize("kind", interp.RULE_KINDS)
+    @pytest.mark.parametrize("grid,method", [
+        (build_sparse_grid(4, 4), "combination"),
+        (build_sparse_grid(4, 4), "subsampled"),
+        (UniformLattice.unit(4, 5), "combination"),
+    ], ids=["combination", "subsampled", "lattice"])
+    def test_matches_W_route(self, kind, grid, method):
+        rng = np.random.default_rng(83)
+        X = rng.uniform(-0.1, 1.1, (300, 4))
+        X[:50] = np.round(X[:50] * 8) / 8  # on lattice lines, with ties
+        assert_matches_W_route(X, grid, rng.uniform(size=grid.size), kind,
+                               method)
+
+    @pytest.mark.parametrize("kind", interp.RULE_KINDS)
+    def test_sizes_at_block_edges(self, kind):
+        g = build_sparse_grid(4, 6)
+        B = _grid_components(4, 6, "combination").block_rows(kind)
+        rng = np.random.default_rng(89)
+        X = rng.uniform(-0.1, 1.1, (B + 1, 6))
+        values = rng.uniform(size=g.size)
+        for n in (0, 1, B - 1, B, B + 1):
+            assert_matches_W_route(X[:n], g, values, kind)
+
+    def test_high_dimension_subsampled(self):
+        # d=15, l=3: at most 3 multi-point axes per component grid
+        g = build_sparse_grid(3, 15)
+        X = np.random.default_rng(97).uniform(0, 1, (100, 15))
+        values = np.random.default_rng(98).uniform(size=g.size)
+        for kind in ("simplicial", "linear"):
+            assert_matches_W_route(X, g, values, kind, "subsampled")
+
+    @pytest.mark.parametrize("kind", interp.RULE_KINDS)
+    @pytest.mark.parametrize("method", ["combination", "subsampled"])
+    def test_matches_direct_evaluation(self, kind, method):
+        g = build_sparse_grid(3, 3)
+        f = lambda P: np.cos(P.sum(axis=1)) + 0.3 * P[:, 0] * P[:, 1]
+        X = np.random.default_rng(101).uniform(0, 1, (80, 3))
+        got = interpolate(X, g, f(g.points()), BaseRule(kind), method)
+        direct = interpolate_direct(f, X, 3, 3, BaseRule(kind), method=method)
+        np.testing.assert_allclose(got, direct, rtol=0, atol=1e-10)
+
+    def test_validation_matches_assemble_W(self):
+        g = build_sparse_grid(2, 2)
+        values = np.ones(g.size)
+        for X in (np.zeros((3, 3)), np.array([[np.nan, 0.5]]),
+                  np.array([[0.5, np.inf]]), np.zeros((3, 2, 1))):
+            with pytest.raises(ValueError) as want:
+                assemble_W(X, g)
+            with pytest.raises(ValueError) as got:
+                interpolate(X, g, values)
+            assert str(got.value) == str(want.value)
+        X = np.full((3, 2), 0.5)
+        for bad in (values[:-1], np.ones(g.size + 1)):
+            with pytest.raises(ValueError):
+                assemble_W(X, g).apply(bad)
+            with pytest.raises(ValueError, match="values has shape"):
+                interpolate(X, g, bad)
+        with pytest.raises(ValueError, match="values has shape"):
+            interpolate(X, g, np.ones((g.size, 1)))  # one vector of values
+        with pytest.raises(TypeError):
+            interpolate(X, "grid", values)
 
 
 def weight_matrix(dense):

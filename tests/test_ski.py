@@ -385,8 +385,14 @@ class TestFitPredict:
         )
         model = fit(cfg, X, y)
         assert model.fit_stats.precond_rank > 0   # (N, r) lattice MVMs
-        rmse = float(np.sqrt(np.mean((model.predict_mean(X) - y) ** 2)))
+        mean = model.predict_mean(X)
+        rmse = float(np.sqrt(np.mean((mean - y) ** 2)))
         assert rmse < 0.2
+        # predictions build no W; they agree with the W route to roundoff
+        W = assemble_W(model.domain_map.forward(X), model.grid,
+                       BaseRule("linear"))
+        size = abs(W.matrix) @ np.abs(model.grid_dual)
+        assert (np.abs(mean - W.apply(model.grid_dual)) <= 1e-12 * size).all()
 
     def test_fit_validation(self):
         cfg = quick_cfg(2)
@@ -409,6 +415,18 @@ class TestFitPredict:
             with pytest.raises(ValueError, match=f"{width} columns.*fitted on 3"):
                 model.predict_mean(np.zeros((4, width)))
         assert model.predict_mean(np.zeros((4, 3))).shape == (4,)
+
+    def test_predict_rejects_non_finite(self):
+        rng = np.random.default_rng(71)
+        X = rng.uniform(0, 1, (30, 3))
+        X[:, 2] = 0.25      # constant in training: mapped to 0.5 whatever Xs
+        model = fit(quick_cfg(3, ell=2), X, np.sin(X.sum(axis=1)))
+        for j in range(3):
+            for bad in (np.nan, np.inf, -np.inf):
+                Xs = np.full((4, 3), 0.5)
+                Xs[1, j] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    model.predict_mean(Xs)
 
     def test_predict_on_no_points(self):
         rng = np.random.default_rng(79)
