@@ -21,6 +21,7 @@ import click
 import numpy as np
 
 from .bench import (
+    SYNTHETIC_FUNCTIONS,
     MvmMismatch,
     SyntheticTask,
     cg_report,
@@ -33,6 +34,7 @@ from .bench import (
 )
 from .grids import GridCapExceeded, build_sparse_grid, dump_points_csv, \
     sparse_grid_size
+from .interp import METHODS, RULE_KINDS
 from .kernels import ProductKernel
 from .ski import CgConfig, CgFailure, GpConfig, fit, load_model, read_xy_csv
 
@@ -249,8 +251,8 @@ def cmd_mvm_bench(ctx, **r):
 
 @main.command("interp-bench")
 @_config_option
-@click.option("--function", type=click.Choice(
-    ["cos_l1", "aniso_cos", "corner_peak"]), default="cos_l1")
+@click.option("--function", type=click.Choice(SYNTHETIC_FUNCTIONS),
+              default="cos_l1")
 @click.option("--d", type=int, default=6)
 @click.option("--ells", type=str, default="2,3,4,5")
 @click.option("--rules", type=str, default="simplicial",
@@ -329,10 +331,8 @@ def _gp_config(r, dim):
               default="sparse")
 @click.option("--resolution", type=int, default=4)
 @click.option("--dense-count", type=int, default=8)
-@click.option("--rule", type=click.Choice(["simplicial", "linear", "cubic"]),
-              default="simplicial")
-@click.option("--method", type=click.Choice(["combination", "subsampled"]),
-              default="combination")
+@click.option("--rule", type=click.Choice(RULE_KINDS), default="simplicial")
+@click.option("--method", type=click.Choice(METHODS), default="combination")
 @click.option("--cg-tol", type=float, default=1e-4)
 @click.option("--cg-max-iters", type=int, default=1000)
 @click.option("--preconditioner", type=click.Choice(["none", "nystrom"]),
@@ -417,8 +417,8 @@ def cmd_gp_predict(ctx, **r):
 @_config_option
 @click.option("--data", type=click.Path(exists=True, dir_okay=False),
               help="Optional CSV dataset; split 4:2:3 instead of synthetic.")
-@click.option("--function", type=click.Choice(
-    ["cos_l1", "aniso_cos", "corner_peak"]), default="cos_l1")
+@click.option("--function", type=click.Choice(SYNTHETIC_FUNCTIONS),
+              default="cos_l1")
 @click.option("--dims", type=str, default="2",
               help="Comma-separated dimensions for synthetic studies.")
 @click.option("--n-train", type=int, default=4000)

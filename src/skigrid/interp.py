@@ -38,10 +38,12 @@ Out-of-hull queries are handled by clamping the cell index and local
 coordinate, which keeps rows a partition of unity; level-0 (single-point)
 dimensions carry all their weight on the lone coordinate.
 
-A W of at least SHARD_MIN_NNZ non-zeros is applied in row shards, one per
-CPU the process may run on, at the same time on a thread pool; scipy's
-sparse kernels release the interpreter lock.  W v is bit-identical to the
-single product; W^T u sums one partial per shard in shard order.
+assemble_W cuts a W of at least SHARD_MIN_NNZ non-zeros into row parts of
+about equal nnz, one per CPU the process may run on, as it joins its row
+blocks.  The parts are applied at the same time on a thread pool with
+scipy's public products, whose kernels release the interpreter lock: W v
+is bit-identical to the single product; W^T u sums one partial per part in
+part order.
 """
 
 import math
@@ -54,23 +56,31 @@ from itertools import product
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse import _sparsetools  # the kernels behind scipy's CSR/CSC @
 
 from .grids import SparseGrid, rect_injection
 
 RULE_KINDS = ("simplicial", "linear", "cubic")
+METHODS = ("combination", "subsampled")
 
 # Byte budget of one row block's (rows, entries) work arrays; assembly holds
 # a few of them at a time besides the merged rows.
 BLOCK_BYTES = 2 << 20
 
-# Smallest W applied in row shards.  Handing a shard to a pool thread and
+# Smallest W cut into row parts.  Handing a part to a pool thread and
 # waiting for it costs 40-50 us (2-vCPU x86 VM, 1 BLAS thread, best of 300),
-# so two shards break even between 130k and 200k non-zeros (d=6, l=4: 256
+# so two parts break even between 130k and 200k non-zeros (d=6, l=4: 256
 # to 384 rows) and save 25-35% at 2**18 (W v 0.24 -> 0.16-0.18 ms) and 1.5x
-# at 520k.  Requests build no W (see interpolate); at d=6, l=4 a W of about
-# 515 rows or more (~509 non-zeros a row) is sharded.
+# at 520k; scipy's public products add 30-50 us to a two-part W v.
+# Requests build no W (see interpolate); at d=6, l=4 a W of about 515 rows
+# or more (~509 non-zeros a row) is cut.
 SHARD_MIN_NNZ = 1 << 18
+
+# Largest array one product of a part allocates.  A pool thread keeps the
+# pages it frees in its own malloc arena, so its largest product stays in
+# the process's peak RSS (+5 MB over a whole n=20000, d=4 fit when the
+# sketch's 64-column blocks were formed at once); blocks are applied in
+# runs of columns under this size.
+PRODUCT_BYTES = 1 << 20
 
 
 def rule_density(kind, dim):
@@ -246,12 +256,6 @@ def tensor_corners(X, lat, kind):
     return corners, w
 
 
-def _corner_fn(kind):
-    if kind == "simplicial":
-        return simplicial_corners
-    return lambda X, lat: tensor_corners(X, lat, kind)
-
-
 # ---- grid combinations ------------------------------------------------------
 
 
@@ -294,11 +298,11 @@ def subsampled_components(resolution, dim):
 
 
 def _components(resolution, dim, method):
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "combination":
         return combination_components(resolution, dim)
-    if method == "subsampled":
-        return subsampled_components(resolution, dim)
-    raise ValueError(f"unknown method {method!r}")
+    return subsampled_components(resolution, dim)
 
 
 # ---- stacked component tables -----------------------------------------------
@@ -444,61 +448,77 @@ def _grid_components(resolution, dim, method):
 
 
 class WeightMatrix:
-    """Row-sparse n x m interpolation matrix over a fixed grid; ``matrix``
-    is CSR with duplicates summed and zeros dropped.
+    """Row-sparse n x m interpolation matrix over a fixed grid, held as
+    consecutive CSR row parts with duplicates summed and zeros dropped.
 
-    A matrix of at least SHARD_MIN_NNZ non-zeros is cut, when the process
-    may run on more than one CPU, into ``shard_count()`` row shards of about
-    equal nnz that apply and apply_transpose run at the same time.
+    ``parts`` come from _row_parts: one part, or shard_count() parts of
+    about equal nnz for a W of at least SHARD_MIN_NNZ non-zeros.  apply and
+    apply_transpose run the first part on the calling thread and the others
+    on the shard pool, at the same time.
     """
 
-    def __init__(self, matrix, rule, method, n_grids, dim):
-        self.matrix = matrix
+    def __init__(self, parts, rule, method, n_grids, dim):
+        if scipy.sparse.issparse(parts):  # iterating it would yield its rows
+            raise TypeError("parts must be a list of CSR row parts")
+        self.parts = parts
         self.rule = rule
         self.method = method
         self.n_grids = n_grids
         self.dim = dim
-        counts = np.diff(matrix.indptr)
-        self.max_row_nnz = int(counts.max()) if len(counts) else 0
+        # W^T's parts are CSC views of the same arrays
+        self._transposes = [p.T for p in parts]
+        ends = np.cumsum([p.shape[0] for p in parts]).tolist()
+        self._rows = [slice(a, b) for a, b in zip([0, *ends], ends)]
+        self.shape = (ends[-1], parts[0].shape[1])
+        self.nnz = sum(p.nnz for p in parts)
+        self.max_row_nnz = max(int(np.diff(p.indptr).max(initial=0))
+                               for p in parts)
         self.density_bound = rule.density(dim) * n_grids
         if self.max_row_nnz > self.density_bound:
             raise RuntimeError(
                 f"W has a row with {self.max_row_nnz} entries; the "
                 f"{rule.kind} rule over {n_grids} grids allows at most "
                 f"{self.density_bound}")
-        shards = shard_count()
-        self._shards = (_RowShards(matrix, shards)
-                        if shards > 1 and matrix.nnz >= SHARD_MIN_NNZ else None)
 
     @property
-    def shape(self):
-        return self.matrix.shape
-
-    @property
-    def nnz(self):
-        return self.matrix.nnz
+    def matrix(self):
+        """W as one CSR matrix (a copy when W has more than one part)."""
+        if len(self.parts) == 1:
+            return self.parts[0]
+        return scipy.sparse.vstack(self.parts, format="csr")
 
     def apply(self, v):
         """W @ v for v of shape (m,) or (m, r); costs O(nnz).
 
-        On shards, each shard writes its own rows of the output with the
-        kernel scipy's product uses, so the result is bit-identical to
-        ``matrix @ v``.
+        Each part writes its rows of the output with scipy's product, so
+        the result is bit-identical to ``matrix @ v``.
         """
-        if self._shards is None or not _float_block(v, self.shape[1]):
-            return self.matrix @ v
-        return self._shards.product(v, transpose=False)
+        v = np.asarray(v)
+        x = v.reshape(len(v), math.prod(v.shape[1:]))
+        out = np.empty((self.shape[0], x.shape[1]),
+                       np.result_type(self.parts[0].dtype, x.dtype))
+        _each(lambda k: _columns(self.parts[k], x, out[self._rows[k]]),
+              range(len(self.parts)))
+        return out.reshape(self.shape[:1] + v.shape[1:])
 
     def apply_transpose(self, u):
         """W^T @ u for u of shape (n,) or (n, r); exact adjoint of apply.
 
-        On shards, each shard computes a grid-sized partial and the
-        partials are summed in shard order: deterministic for a given
-        shard count, and within roundoff of ``matrix.T @ u``.
+        Each part computes a grid-sized partial from its rows of u and the
+        partials are summed in part order: deterministic for a given part
+        count, and within roundoff of ``matrix.T @ u``.
         """
-        if self._shards is None or not _float_block(u, self.shape[0]):
-            return self.matrix.T @ u
-        return self._shards.product(u, transpose=True)
+        u = np.asarray(u)
+        if u.shape[:1] != self.shape[:1]:
+            raise ValueError(f"u has shape {u.shape}; W has {self.shape[0]} rows")
+        # so that no pool thread copies its rows of u
+        u = np.ascontiguousarray(u)
+        partials = _each(lambda k: self._transposes[k] @ u[self._rows[k]],
+                         range(len(self.parts)))
+        out = partials[0]
+        for partial in partials[1:]:
+            out += partial
+        return out
 
     def __repr__(self):
         n, m = self.shape
@@ -507,8 +527,8 @@ class WeightMatrix:
 
 
 def shard_count():
-    """Row shards of a W at or above SHARD_MIN_NNZ: the CPUs this process
-    may run on (a process pinned to one CPU shards nothing)."""
+    """Row parts of a W at or above SHARD_MIN_NNZ: the CPUs this process
+    may run on (a process pinned to one CPU gets one part)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
@@ -521,7 +541,7 @@ _pool_lock = threading.Lock()
 
 def _shard_pool():
     """The process's shard thread pool, created on first use with one
-    worker fewer than shard_count(); the caller runs the last shard."""
+    worker fewer than shard_count(); the caller runs the first part."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -539,86 +559,54 @@ def _forget_pool():
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _float_block(v, rows):
-    """Whether scipy would multiply v as a float64 vector or block of
-    ``rows`` rows; anything else goes to scipy itself."""
-    return (v.__class__ is np.ndarray and v.dtype == np.float64
-            and v.ndim in (1, 2) and v.shape[0] == rows)
+def _columns(part, x, out):
+    """out[:] = part @ x for a block x, in runs of columns that keep each
+    product, and the copy scipy makes of a run of x, under PRODUCT_BYTES."""
+    step = max(1, PRODUCT_BYTES // (8 * max(part.shape)))
+    for j in range(0, x.shape[1], step):
+        out[:, j : j + step] = part @ x[:, j : j + step]
 
 
-class _RowShards:
-    """A CSR matrix's rows in contiguous runs of about equal nnz.
+def _each(fn, items):
+    """[fn(x) for x in items]: the first on the calling thread and the
+    others on the shard pool, so a single item never touches the pool;
+    returns once all have finished."""
+    futures = [_shard_pool().submit(fn, x) for x in items[1:]]
+    try:
+        first = fn(items[0])
+    finally:
+        wait(futures)
+    return [first, *(f.result() for f in futures)]
 
-    A run is its row range and a view of the matrix's ``indptr`` over it;
-    the kernels read each row's entries at the offsets that view holds, in
-    the matrix's own ``indices`` and ``data``, so nothing is copied.
+
+def _row_parts(blocks):
+    """Consecutive CSR row blocks as one CSR matrix per part.
+
+    A W of at least SHARD_MIN_NNZ non-zeros has shard_count() parts, part
+    k ending at the first row where W's indptr reaches (k + 1) * nnz //
+    count; otherwise one part.  A part concatenates its rows of the blocks,
+    so the parts together copy the blocks once.  (A part made of views of
+    one concatenation would be copied again: scipy copies an array that is
+    a view of a much larger one.)
     """
-
-    def __init__(self, matrix, count):
-        self.matrix = matrix
-        self.n_rows, self.n_cols = matrix.shape
-        indptr = matrix.indptr
-        targets = [k * matrix.nnz // count for k in range(1, count)]
-        bounds = [0, *np.searchsorted(indptr, targets).tolist(), self.n_rows]
-        self.runs = [(lo, hi, indptr[lo:hi + 1])
-                     for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-    def product(self, v, transpose):
-        """W v, or W^T v when ``transpose``, for a float64 (rows,) or
-        (rows, r) array; each run's kernel call is scipy's own."""
-        if v.ndim == 2 and v.shape[1] == 1:
-            # as in scipy: one column runs as a vector, whose kernel is 4x
-            # faster than the block kernel on one column
-            return self.product(v.ravel(), transpose).reshape(-1, 1)
-        v = np.ascontiguousarray(v)
-        tail = v.shape[1:]
-        if transpose:
-            parts = [np.zeros((self.n_cols,) + tail) for _ in self.runs]
-            self._map(lambda k: self._transposed(k, v, parts[k]))
-            out = parts[0]
-            for part in parts[1:]:
-                out += part
-            return out
-        out = np.zeros((self.n_rows,) + tail)
-        self._map(lambda k: self._rows(k, v, out))
-        return out
-
-    def _rows(self, k, v, out):
-        # out[lo:hi] += W[lo:hi] v
-        lo, hi, indptr = self.runs[k]
-        m = self.matrix
-        if v.ndim == 1:
-            _sparsetools.csr_matvec(hi - lo, self.n_cols, indptr, m.indices,
-                                    m.data, v, out[lo:hi])
-        else:
-            _sparsetools.csr_matvecs(hi - lo, self.n_cols, v.shape[1], indptr,
-                                     m.indices, m.data, v.ravel(),
-                                     out[lo:hi].ravel())
-
-    def _transposed(self, k, u, out):
-        # out += W[lo:hi]^T u[lo:hi]; W^T's run is CSC on the same arrays
-        lo, hi, indptr = self.runs[k]
-        m = self.matrix
-        if u.ndim == 1:
-            _sparsetools.csc_matvec(self.n_cols, hi - lo, indptr, m.indices,
-                                    m.data, u[lo:hi], out)
-        else:
-            _sparsetools.csc_matvecs(self.n_cols, hi - lo, u.shape[1], indptr,
-                                     m.indices, m.data, u[lo:hi].ravel(),
-                                     out.ravel())
-
-    def _map(self, fn):
-        """fn(k) for every run: the last on the calling thread, the others
-        on the pool; returns once all have finished."""
-        last = len(self.runs) - 1
-        pool = _shard_pool()
-        futures = [pool.submit(fn, k) for k in range(last)]
-        try:
-            fn(last)
-        finally:
-            wait(futures)
-        for f in futures:
-            f.result()
+    indptr = np.zeros(sum(b.shape[0] for b in blocks) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([np.diff(b.indptr) for b in blocks]), out=indptr[1:])
+    nnz = int(indptr[-1])
+    count = shard_count() if nnz >= SHARD_MIN_NNZ else 1
+    targets = [k * nnz // count for k in range(1, count)]
+    bounds = [0, *np.searchsorted(indptr, targets).tolist(), len(indptr) - 1]
+    starts = np.cumsum([0] + [b.shape[0] for b in blocks])
+    parts = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        # each block's entries in rows lo:hi
+        runs = [(b, *b.indptr[np.clip([lo - s, hi - s], 0, b.shape[0])])
+                for b, s in zip(blocks, starts)]
+        parts.append(scipy.sparse.csr_matrix(
+            (np.concatenate([b.data[p:q] for b, p, q in runs]),
+             np.concatenate([b.indices[p:q] for b, p, q in runs]),
+             indptr[lo : hi + 1] - indptr[lo]),
+            shape=(hi - lo, blocks[0].shape[1])))
+    return parts
 
 
 def _merged_rows(cols, vals, size):
@@ -661,7 +649,8 @@ def assemble_W(X, grid, rule=BaseRule(), method="combination"):
     All components are evaluated together from their stacked tables, in
     row blocks sized from BLOCK_BYTES; each block's rows have their
     duplicates merged in component-then-corner order and the blocks'
-    CSR arrays are concatenated, so W does not depend on the block size.
+    CSR arrays are concatenated into W's row parts (see _row_parts), so W
+    does not depend on the block size.
     """
     X, rule, comps, method = _prepared(X, grid, rule, method)
     n, d = X.shape
@@ -672,14 +661,7 @@ def assemble_W(X, grid, rule=BaseRule(), method="combination"):
         flat, vals = comps.block(Xb, rule.kind)
         cols = flat if comps.columns is None else comps.columns[flat]
         blocks.append(_merged_rows(cols, vals, grid.size))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.concatenate([np.diff(b.indptr) for b in blocks]), out=indptr[1:])
-    mat = scipy.sparse.csr_matrix(
-        (np.concatenate([b.data for b in blocks]),
-         np.concatenate([b.indices for b in blocks]), indptr),
-        shape=(n, grid.size),
-    )
-    return WeightMatrix(mat, rule, method, comps.n_grids, d)
+    return WeightMatrix(_row_parts(blocks), rule, method, comps.n_grids, d)
 
 
 def interpolate(X, grid, values, rule=BaseRule(), method="combination"):
@@ -709,27 +691,39 @@ def interpolate(X, grid, values, rule=BaseRule(), method="combination"):
 # ---- direct interpolation (index-free evaluation route) ---------------------
 
 
-def interpolate_rect_direct(f, X, lat, kind="simplicial"):
-    """Base-rule interpolant of f on one lattice, evaluated pointwise.
-
-    Computes corner coordinates directly from the lattice geometry and
-    samples f there — no grid enumeration or index lookup involved, so it
-    cross-checks the assemble_W route end to end.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    corners, w = _corner_fn(kind)(X, lat)
-    coords = lat.offsets + corners * lat.spacings
-    vals = np.asarray(f(coords.reshape(-1, X.shape[1]))).reshape(w.shape)
-    return (w * vals).sum(axis=1)
-
-
 def interpolate_direct(f, X, resolution, dim, base=BaseRule(),
                        method="combination"):
-    """Combination-rule interpolant of f at X, by direct evaluation."""
+    """Combination-rule interpolant of f at X, by direct evaluation.
+
+    Computes every component's corner coordinates directly from the
+    lattice geometry, with no grid enumeration or index lookup, so it
+    cross-checks the assemble_W route end to end.  f is called once, on
+    the distinct corners, found by sorting exact integer keys: corner c of
+    a level-l axis lies at (2c + 1) / 2^(l+1), and l <= resolution, so a
+    key is 2^(resolution+1) times the corner's coordinates.
+    """
     base = _as_rule(base)
     X = np.asarray(X, dtype=np.float64)
-    out = np.zeros(len(X))
-    for levels, coeff in _components(resolution, dim, method):
+    comps = _components(resolution, dim, method)
+    keys, weights = [], []
+    for levels, _ in comps:
         lat = UniformLattice.from_levels(levels)
-        out += coeff * interpolate_rect_direct(f, X, lat, base.kind)
+        corners, w = (simplicial_corners(X, lat) if base.kind == "simplicial"
+                      else tensor_corners(X, lat, base.kind))
+        shift = resolution - np.array(levels)
+        keys.append(((2 * corners + 1) << shift).reshape(-1, dim))
+        weights.append(w)
+    keys = np.concatenate(keys)
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    distinct = np.empty(len(order), dtype=np.int64)
+    distinct[order] = np.cumsum(first) - 1
+    vals = np.asarray(f(np.ldexp(ranked[first], -resolution - 1)))[distinct]
+    out = np.zeros(len(X))
+    start = 0
+    for (_, coeff), w in zip(comps, weights):
+        out += coeff * (w * vals[start : start + w.size].reshape(w.shape)).sum(axis=1)
+        start += w.size
     return out

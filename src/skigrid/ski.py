@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .grids import build_sparse_grid
-from .interp import BaseRule, UniformLattice, assemble_W, interpolate
+from .interp import METHODS, BaseRule, UniformLattice, assemble_W, interpolate
 from .kernels import KroneckerToeplitz, ProductKernel
 from .sgmvm import build_plan, sg_mvm_batched
 
@@ -315,6 +315,8 @@ class GpConfig:
         if self.grid == "dense" and self.dense_count < 1:
             raise ValueError("dense_count must be >= 1")
         BaseRule(self.rule)
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}")
 
 
 def _build_backend(cfg, dim):

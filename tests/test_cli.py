@@ -471,6 +471,17 @@ class TestSettings:
         assert res.exit_code == 1
         assert "unknown keys" in res.stderr
 
+    def test_choices_are_the_library_names(self):
+        names = {"method": skigrid.interp.METHODS,
+                 "rule": skigrid.interp.RULE_KINDS,
+                 "function": bench.SYNTHETIC_FUNCTIONS}
+        commands = [*main.commands.values(),
+                    *main.commands["gp"].commands.values()]
+        params = [p for c in commands for p in c.params if p.name in names]
+        assert {p.name for p in params} == set(names)
+        for p in params:
+            assert tuple(p.type.choices) == names[p.name]
+
     @pytest.mark.parametrize("name", ["grid", "gp fit"])
     def test_no_seed_flag_where_unused(self, runner, commands, name):
         res = runner.invoke(main, [*commands[name], "--seed", "3"])

@@ -373,6 +373,19 @@ class TestAssembleW:
         direct = interpolate_direct(f, X, 3, 3, BaseRule(kind), method=method)
         np.testing.assert_allclose(via_W, direct, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", interp.RULE_KINDS)
+    def test_direct_evaluation_calls_f_once_on_distinct_corners(self, kind):
+        calls = []
+
+        def f(P):
+            calls.append(P.copy())
+            return np.cos(P.sum(axis=1))
+
+        X = np.random.default_rng(31).uniform(0, 1, (20, 3))
+        interpolate_direct(f, X, 3, 3, BaseRule(kind))
+        assert len(calls) == 1
+        assert len(np.unique(calls[0], axis=0)) == len(calls[0])
+
     def test_adjoint_identity(self):
         rng = np.random.default_rng(29)
         g = build_sparse_grid(4, 2)
@@ -497,6 +510,8 @@ class TestAssembleW:
         # a 2-d simplicial row on one grid has at most 3 entries
         dense_row = scipy.sparse.csr_matrix(np.ones((1, 4)))
         with pytest.raises(RuntimeError, match="4 entries.*at most 3"):
+            WeightMatrix([dense_row], BaseRule("simplicial"), "rect", 1, 2)
+        with pytest.raises(TypeError, match="list of CSR row parts"):
             WeightMatrix(dense_row, BaseRule("simplicial"), "rect", 1, 2)
 
 
@@ -574,10 +589,17 @@ class TestInterpolate:
             interpolate(X, "grid", values)
 
 
-def weight_matrix(dense):
-    """A WeightMatrix around any small matrix: its density bound is loose."""
-    return WeightMatrix(scipy.sparse.csr_matrix(dense), BaseRule("simplicial"),
-                        "combination", dense.shape[1] + 1, 1)
+def weight_matrix(*blocks):
+    """A WeightMatrix around consecutive row blocks of any small matrix, cut
+    as assemble_W cuts its blocks; its density bound is loose."""
+    return WeightMatrix(
+        interp._row_parts([scipy.sparse.csr_matrix(b) for b in blocks]),
+        BaseRule("simplicial"), "combination", blocks[0].shape[1] + 1, 1)
+
+
+def part_bounds(W):
+    ends = np.cumsum([p.shape[0] for p in W.parts]).tolist()
+    return list(zip([0, *ends], ends))
 
 
 def assert_matches_csr(W, rng):
@@ -607,58 +629,102 @@ class TestRowShards:
     def test_threshold(self, two_shards):
         # the first rows of a d=6, l=4 W, cut just below and just above
         rng = np.random.default_rng(61)
-        full = assemble_W(rng.uniform(0, 1, (700, 6)), build_sparse_grid(4, 6))
-        k = int(np.searchsorted(full.matrix.indptr, interp.SHARD_MIN_NNZ))
-        below, above = (weight_matrix(full.matrix[:rows]) for rows in (k - 1, k))
+        X = rng.uniform(0, 1, (700, 6))
+        g = build_sparse_grid(4, 6)
+        k = int(np.searchsorted(assemble_W(X, g).matrix.indptr,
+                                interp.SHARD_MIN_NNZ))
+        below, above = (assemble_W(X[:rows], g) for rows in (k - 1, k))
         assert below.nnz < interp.SHARD_MIN_NNZ <= above.nnz
-        assert below._shards is None and above._shards is not None
+        assert len(below.parts) == 1 and len(above.parts) == 2
         assert_matches_csr(below, rng)
         assert_matches_csr(above, rng)
 
     @pytest.mark.parametrize("shards", [2, 3, 4, 16])
     def test_empty_rows_at_shard_edges(self, shards, any_size, monkeypatch):
-        # rows 0, 4-7 and 11 are empty: two shards cut at row 4, so the
-        # second run starts on four empty rows, and 16 shards over 12 rows
-        # leave runs with no rows at all
+        # rows 0, 4-7 and 11 are empty: two parts cut at row 4, so the
+        # second starts on four empty rows, and 16 parts over 12 rows leave
+        # parts with no rows at all
         monkeypatch.setattr(interp, "shard_count", lambda: shards)
         rng = np.random.default_rng(67)
         dense = np.zeros((12, 9))
         for i in (1, 2, 3, 8, 9, 10):
             dense[i, rng.choice(9, 3, replace=False)] = rng.standard_normal(3)
         W = weight_matrix(dense)
-        bounds = [(lo, hi) for lo, hi, _ in W._shards.runs]
-        assert len(bounds) == shards and bounds[0][0] == 0
-        assert bounds[-1][1] == 12
-        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        bounds = part_bounds(W)
+        assert len(bounds) == shards and bounds[-1][1] == 12
         if shards == 2:
             assert bounds == [(0, 4), (4, 12)]
         assert_matches_csr(W, rng)
+        # the same rows in blocks that the bounds split give the same parts
+        split = weight_matrix(dense[:3], dense[3:5], dense[5:11], dense[11:])
+        assert part_bounds(split) == bounds
+        for a, b in zip(split.parts, W.parts):
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(a, name),
+                                              getattr(b, name), strict=True)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_parts_cut_at_equal_nnz_and_join_to_one_part(self, count,
+                                                         any_size, monkeypatch):
+        # blocks of 7 rows, so bounds fall inside blocks
+        entries = _grid_components(4, 4, "combination").row_entries["simplicial"]
+        monkeypatch.setattr(interp, "BLOCK_BYTES", 8 * entries * 7)
+        rng = np.random.default_rng(101)
+        X = rng.uniform(0, 1, (100, 4))
+        g = build_sparse_grid(4, 4)
+        monkeypatch.setattr(interp, "shard_count", lambda: 1)
+        one = assemble_W(X, g)
+        monkeypatch.setattr(interp, "shard_count", lambda: count)
+        W = assemble_W(X, g)
+        assert len(one.parts) == 1 and W.nnz == one.nnz
+        indptr = one.matrix.indptr
+        cuts = np.searchsorted(indptr, [k * W.nnz // count
+                                        for k in range(1, count)]).tolist()
+        ends = [*cuts, len(X)]
+        assert part_bounds(W) == list(zip([0, *cuts], ends))
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(W.matrix, name),
+                                          getattr(one.matrix, name), strict=True)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_no_rows_and_one_row(self, n, two_shards, any_size):
         rng = np.random.default_rng(71)
         W = assemble_W(rng.uniform(0, 1, (n, 3)), build_sparse_grid(3, 3))
-        assert W._shards is not None
+        assert len(W.parts) == 2
         assert_matches_csr(W, rng)
 
     def test_other_dtypes_strides_and_shapes(self, two_shards, any_size):
         rng = np.random.default_rng(73)
         W = assemble_W(rng.uniform(0, 1, (40, 3)), build_sparse_grid(3, 3))
         v = rng.standard_normal(W.shape[1])
+        u = rng.standard_normal(W.shape[0])
         for w in (v.astype(np.float32), v.tolist(), v[::-1]):
             np.testing.assert_array_equal(W.apply(w), W.matrix @ w)
+        for w in (u.astype(np.float32), u.tolist(), u[::-1]):
+            np.testing.assert_allclose(W.apply_transpose(w), W.matrix.T @ w,
+                                       rtol=1e-6)
         with pytest.raises(ValueError):
             W.apply(v[:-1])
+        with pytest.raises(ValueError):
+            W.apply_transpose(u[:-1])
+
+    def test_blocks_in_column_runs(self, two_shards, any_size, monkeypatch):
+        # each part forms W V two columns at a time, bit for bit
+        rng = np.random.default_rng(77)
+        W = assemble_W(rng.uniform(0, 1, (60, 3)), build_sparse_grid(3, 3))
+        monkeypatch.setattr(interp, "PRODUCT_BYTES", 16 * max(W.shape))
+        V = rng.standard_normal((W.shape[1], 6))
+        np.testing.assert_array_equal(W.apply(V), W.matrix @ V, strict=True)
 
     def test_one_cpu_is_the_plain_product(self, monkeypatch):
-        # no shards, no pool: the parent's single CSR product, bit for bit
+        # one part, no pool: the single CSR product, bit for bit
         def no_pool():
             raise AssertionError("the shard pool was used")
         monkeypatch.setattr(interp, "shard_count", lambda: 1)
         monkeypatch.setattr(interp, "_shard_pool", no_pool)
         rng = np.random.default_rng(79)
         W = assemble_W(rng.uniform(0, 1, (700, 6)), build_sparse_grid(4, 6))
-        assert W.nnz >= interp.SHARD_MIN_NNZ and W._shards is None
+        assert W.nnz >= interp.SHARD_MIN_NNZ and len(W.parts) == 1
         for tail in ((), (1,), (5,)):
             v = rng.standard_normal((W.shape[1],) + tail)
             np.testing.assert_array_equal(W.apply(v), W.matrix @ v, strict=True)
@@ -667,12 +733,12 @@ class TestRowShards:
                                           W.matrix.T @ u, strict=True)
 
     def test_transpose_sums_in_shard_order(self, any_size, monkeypatch):
-        # same shard count, same bits; the summation order is the shards'
+        # same part count, same bits; the summation order is the parts'
         monkeypatch.setattr(interp, "shard_count", lambda: 3)
         rng = np.random.default_rng(83)
         W = assemble_W(rng.uniform(0, 1, (500, 4)), build_sparse_grid(4, 4))
         u = rng.standard_normal(W.shape[0])
-        want = sum(W.matrix[lo:hi].T @ u[lo:hi] for lo, hi, _ in W._shards.runs)
+        want = sum(W.matrix[lo:hi].T @ u[lo:hi] for lo, hi in part_bounds(W))
         for _ in range(5):
             np.testing.assert_array_equal(W.apply_transpose(u), want)
 
@@ -710,7 +776,7 @@ class TestRowShards:
         assert failures == []
 
     def test_pool_starts_on_first_sharded_apply(self):
-        # importing starts no thread; three shards start at most two pool
+        # importing starts no thread; three parts start at most two pool
         # workers (the pool adds one per submit while none is idle)
         code = (
             "import threading\n"

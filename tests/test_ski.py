@@ -69,7 +69,7 @@ class TestSkiOperator:
     def test_zero_weight_rows_leave_noise_only(self):
         # all-zero W: the operator degenerates to sigma^2 I
         empty = scipy.sparse.csr_matrix((4, 17))
-        W = WeightMatrix(empty, BaseRule("simplicial"), "rect", 1, 2)
+        W = WeightMatrix([empty], BaseRule("simplicial"), "rect", 1, 2)
         op = SkiOperator(W, lambda v: v, sigma2=1.0)
         v = np.arange(4.0)
         np.testing.assert_array_equal(op.matvec(v), v)
@@ -90,7 +90,7 @@ class TestSkiOperator:
 
     def test_negative_sigma_rejected(self):
         empty = scipy.sparse.csr_matrix((2, 3))
-        W = WeightMatrix(empty, BaseRule("simplicial"), "rect", 1, 1)
+        W = WeightMatrix([empty], BaseRule("simplicial"), "rect", 1, 1)
         with pytest.raises(ValueError):
             SkiOperator(W, lambda v: v, sigma2=-0.1)
 
@@ -274,9 +274,9 @@ class TestFitPredict:
                                    rtol=0, atol=1e-8)
 
     def test_fits_are_bit_identical(self, monkeypatch):
-        # the sketch's test matrix is seeded and W^T sums its row shards in
+        # the sketch's test matrix is seeded and W^T sums its row parts in
         # a fixed order, so repeated fits agree exactly; at n = 3000, d = 4
-        # W is over SHARD_MIN_NNZ and runs on two shards
+        # W is over SHARD_MIN_NNZ and is cut into two parts
         monkeypatch.setattr(interp, "shard_count", lambda: 2)
         for n, d in ((300, 3), (3000, 4)):
             rng = np.random.default_rng(49)
@@ -289,7 +289,7 @@ class TestFitPredict:
             assert a.fit_stats.residual_norms == b.fit_stats.residual_norms
             # true residual through the recursive MVM and scipy's products
             W = assemble_W(a.domain_map.forward(X), a.grid)
-            assert (W._shards is not None) == (n == 3000)
+            assert (len(W.parts) == 2) == (n == 3000)
             Ka = W.matrix @ sg_mvm(build_plan(4, d, cfg.kernel),
                                    W.matrix.T @ a.alpha)
             resid = y - Ka - cfg.sigma2 * a.alpha
@@ -406,6 +406,8 @@ class TestFitPredict:
             fit(cfg, np.zeros((3, 4)), np.zeros(3))
         with pytest.raises(ValueError):
             GpConfig(kernel=cfg.kernel, sigma2=0.1, grid="hex")
+        with pytest.raises(ValueError, match="method"):
+            GpConfig(kernel=cfg.kernel, sigma2=0.1, method="bogus")
 
     def test_predict_rejects_wrong_width(self):
         rng = np.random.default_rng(73)
