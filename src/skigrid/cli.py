@@ -363,7 +363,8 @@ def cmd_gp_fit(ctx, **r):
                                     "config": r,
                                     "metadata": environment_metadata()})
         _emit(ctx, model=r["model"], n_train=len(y),
-              **cg_report(model.fit_stats))
+              **cg_report(model.fit_stats),
+              precond_note=model.fit_stats.precond_note)
         _note(ctx, f"fit: n={len(y)} d={X.shape[1]} grid={cfg.grid} -> "
                    f"{r['model']} ({model.fit_stats.n_iters} CG iterations)")
 

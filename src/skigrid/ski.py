@@ -8,6 +8,10 @@ predictive mean is W_* (K_G (W^T alpha)), whose grid-sized inner part is
 precomputed once at fit time, so prediction evaluates the interpolant of
 those grid values at the new points (interp.interpolate) and builds no W_*.
 
+CG is preconditioned by a randomized Nystrom approximation of W K_G W^T,
+sketched in place: two preallocated row buffers, small Gram matrices
+updated at each doubling of the rank, and U formed once at the final rank.
+
 An exact dense-GP oracle (Cholesky) provides reference means and marginal
 log-likelihoods for validation at desk scale.
 """
@@ -20,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 
 from .grids import build_sparse_grid
 from .interp import METHODS, BaseRule, UniformLattice, assemble_W, interpolate
@@ -31,6 +36,7 @@ ORACLE_POINT_CAP = 5000
 SKETCH_START_RANK = 32          # first rank of the Nystrom sketch
 SKETCH_SEED = 20211005          # fixed test-matrix seed: fits are reproducible
 SKETCH_MVM_BYTES = 48 << 20     # grid-MVM workspace of one sketch chunk
+NO_PRECONDITIONER = "no positive definite approximation; plain CG"
 
 
 class CgFailure(RuntimeError):
@@ -50,7 +56,9 @@ class SkiOperator:
     ``mvm_floats`` is the workspace one grid MVM holds per column, in floats
     (the plan's ``workspace_floats`` for the sparse grid; the grid size when
     not given).  kernel_matmat sizes its column chunks by it, and
-    ``rank_bound`` = min(n, |G|) bounds the rank of W K_G W^T.
+    ``rank_bound`` = min(n, |G|) bounds the rank of W K_G W^T.  The
+    Nystrom sketch calls kernel_matmat with ``out`` set to rows of its
+    buffer, so A omega is written where it is kept.
     """
 
     def __init__(self, W, grid_mvm, sigma2, mvm_floats=None):
@@ -72,12 +80,14 @@ class SkiOperator:
         return self.W.apply(self.grid_mvm(self.W.apply_transpose(v))) \
             + self.sigma2 * v
 
-    def kernel_matmat(self, V):
+    def kernel_matmat(self, V, out=None):
         """W K_G W^T V for an (n, r) block: the operator without its noise
         term.  The grid MVM runs on chunks of ``chunk`` columns, so its
         workspace (about 3 floats per workspace float and column) stays
-        under SKETCH_MVM_BYTES."""
-        out = np.empty(V.shape)
+        under SKETCH_MVM_BYTES.  Writes into ``out`` (an (n, r) array of
+        any layout) when given, else into a new array; returns it."""
+        if out is None:
+            out = np.empty(V.shape)
         for j in range(0, V.shape[1], self.chunk):
             cols = slice(j, j + self.chunk)
             out[:, cols] = self.W.apply(
@@ -122,8 +132,9 @@ class CgStats:
 
     The precond_* fields describe the Nystrom preconditioner: its final
     rank (0 when none was built), the sketch's smallest eigenvalue estimate
-    over the noise, lambda_r / sigma^2, the iteration estimate that set the
-    rank, and the seconds spent building it.
+    over the noise, lambda_r / sigma^2, the iteration estimate at that
+    rank, the seconds spent building it, and precond_note: "" normally, else
+    why the rank was cut short or no preconditioner was built.
     """
 
     n_iters: int = 0
@@ -135,34 +146,74 @@ class CgStats:
     precond_lambda_ratio: float = 0.0
     precond_iter_estimate: float = 0.0
     precond_seconds: float = 0.0
+    precond_note: str = ""
 
 
-def _nystrom_factors(omega, y_raw):
-    """Eigenpairs of the stabilized Nystrom approximation of A.
+def _grow_gram(gram, left, right, old):
+    """left @ right.T for (r, n) row blocks whose leading ``old`` rows give
+    ``gram``: only the blocks of the new rows are multiplied."""
+    out = np.empty((len(left), len(right)))
+    out[:old, :old] = gram
+    out[:, old:] = left @ right[old:].T
+    out[old:, :old] = left[old:] @ right[:old].T
+    return out
 
-    ``y_raw`` = A omega.  omega = QR by Cholesky QR (a Gaussian omega is well
-    conditioned), and A Q = (A omega) R^-1, so columns sketched at a smaller
-    rank are reused.  Y = A Q + nu Q is shifted by nu = sqrt(n) eps(||A Q||),
-    the core Q^T Y = C^T C is factored by Cholesky, and U lam U^T = B B^T
-    for B = Y C^-1 follows from the eigendecomposition of B^T B, with nu
-    taken off lam.  Returns (U, lam), lam descending; U holds only the
-    columns with lam > 0, since the preconditioner is the identity on the
-    others.  Raises LinAlgError when omega or the core is not positive
-    definite.
+
+def _sandwich(r, x):
+    """r^-T x r^-1 for upper triangular r."""
+    z = scipy.linalg.solve_triangular(r, x, trans="T")
+    return scipy.linalg.solve_triangular(r, z.T, trans="T").T
+
+
+def _nystrom_factors(g_oo, g_oy, g_yy, n):
+    """Factors of the stabilized Nystrom approximation of A from r x r Grams.
+
+    With Y = A omega, the Grams are g_oo = omega^T omega, g_oy = omega^T Y
+    and g_yy = Y^T Y.  omega = Q R with R = chol(g_oo) (Cholesky QR; a
+    Gaussian omega is well conditioned) and A Q = Y R^-1, shifted by nu =
+    sqrt(n) eps(||Y R^-1||_F).  The core Q^T (A Q + nu Q) = C^T C, and the
+    eigenvalues of B^T B for B = (Y + nu omega) R^-1 C^-1, less nu, are
+    those of the approximation.  Returns (R, C, nu, lam_r), lam_r the
+    smallest of them.  Raises LinAlgError when omega or the core is not
+    positive definite.
+
+    B^T B is formed from g_yy, which squares Y, so once lam_r falls toward
+    sqrt(eps) ||A|| its smallest eigenvalues are noise.  They only choose
+    the rank: _nystrom_basis forms U from B itself.
     """
-    r = scipy.linalg.cholesky(omega.T @ omega)
-    q = scipy.linalg.solve_triangular(r, omega.T, trans="T").T
-    y = scipy.linalg.solve_triangular(r, y_raw.T, trans="T").T
-    nu = np.sqrt(len(y)) * np.spacing(np.linalg.norm(y))
-    y += nu * q
-    core = q.T @ y
+    r = scipy.linalg.cholesky(g_oo)
+    eye = _sandwich(r, g_oo)
+    cross = _sandwich(r, g_oy)
+    yy = _sandwich(r, g_yy)
+    nu = np.sqrt(n) * np.spacing(np.sqrt(max(np.trace(yy), 0.0)))
+    core = cross + nu * eye
     c = scipy.linalg.cholesky((core + core.T) / 2)
-    b = scipy.linalg.solve_triangular(c, y.T, trans="T").T
+    btb = _sandwich(c, yy + nu * (cross + cross.T) + nu**2 * eye)
+    lam_r = np.linalg.eigvalsh((btb + btb.T) / 2)[0] - nu
+    return r, c, nu, max(lam_r, 0.0)
+
+
+def _nystrom_basis(omega_t, y_t, r, c, nu):
+    """(U, lam) of the approximation _nystrom_factors factored, from the
+    sketch rows omega^T and Y^T, which it overwrites: B^T = (C R)^-T (Y +
+    nu omega)^T is formed in Y's rows and U = B V S^-1/2 from the
+    eigendecomposition V S V^T of B^T B, with nu taken off lam.  lam is
+    descending; U holds only the columns with lam > 0, since the
+    preconditioner is the identity on the others."""
+    omega_t *= nu
+    y_t += omega_t
+    b = scipy.linalg.blas.dtrsm(1.0, c @ r, y_t.T, side=1, overwrite_b=True)
     s2, v = np.linalg.eigh(b.T @ b)
     s2, v = s2[::-1], v[:, ::-1]
     lam = np.maximum(s2 - nu, 0.0)
     keep = lam > 0
     return b @ (v[:, keep] / np.sqrt(s2[keep])), lam
+
+
+def _iteration_estimate(lam_r, s2, tol):
+    """(lam_r / s2, 1/2 sqrt(1 + lam_r / s2) ln(2 / tol))."""
+    ratio = lam_r / s2 if s2 > 0 else np.inf
+    return ratio, 0.5 * np.sqrt(1.0 + ratio) * np.log(2.0 / tol)
 
 
 def _nystrom_preconditioner(op, tol, stats):
@@ -171,44 +222,80 @@ def _nystrom_preconditioner(op, tol, stats):
     The rank starts at SKETCH_START_RANK and doubles while the iteration
     estimate 1/2 sqrt(1 + lam_r / s2) ln(2 / tol) exceeds it, up to
     op.rank_bound.  The Gaussian test matrix is drawn from a fixed seed, so
-    solves are reproducible.  Returns None when no positive definite
-    approximation exists (an operator that is not PSD); plain CG then
-    reports the failure.
+    solves are reproducible.
+
+    The sketch is built in place: omega^T and Y^T = (A omega)^T live in two
+    (rank_bound, n) buffers, of which a doubling writes only its own rows
+    (rows never written are never touched), and a doubling adds only the
+    new blocks of the r x r Grams that _nystrom_factors works from.  U is
+    formed once, at the final rank, and the buffers are freed when this
+    returns, so at most three n x r arrays are alive at once.
+
+    When the factorization fails (a full-rank sketch can lose more
+    orthogonality than the shift covers), the largest of rank/2, rank/4,
+    ... that factors is kept, from the leading blocks of the Grams, and the
+    doubling stops.  Returns None when no rank factors or no positive
+    definite approximation exists (an operator that is not PSD); plain CG
+    then reports the failure.  stats.precond_note says why the rank was
+    cut or no preconditioner was built.
     """
     n, s2 = op.n, op.sigma2
     rng = np.random.default_rng(SKETCH_SEED)
-    omega = y_raw = np.empty((n, 0))
+    omega_t = np.empty((op.rank_bound, n))
+    y_t = np.empty((op.rank_bound, n))
+    grams = [np.empty((0, 0))] * 3
     rank = min(SKETCH_START_RANK, op.rank_bound)
+    done = 0
     while True:
-        new = rng.standard_normal((n, rank - omega.shape[1]))
-        omega = np.hstack([omega, new])
-        y_raw = np.hstack([y_raw, op.kernel_matmat(new)])
-        try:
-            u, lam = _nystrom_factors(omega, y_raw)
-        except np.linalg.LinAlgError:
+        omega_t[done:rank] = rng.standard_normal((n, rank - done)).T
+        op.kernel_matmat(omega_t[done:rank].T, out=y_t[done:rank].T)
+        grams = [_grow_gram(g, a[:rank], b[:rank], done) for g, a, b in
+                 zip(grams, (omega_t, omega_t, y_t), (omega_t, y_t, y_t))]
+        kept, factors = _largest_factoring(grams, rank, n)
+        if factors is None:
+            stats.precond_note = NO_PRECONDITIONER
             return None
-        ratio = lam[-1] / s2 if s2 > 0 else np.inf
-        estimate = 0.5 * np.sqrt(1.0 + ratio) * np.log(2.0 / tol)
+        if kept < rank:
+            stats.precond_note = (f"factorization failed at rank {rank}; "
+                                  f"kept rank {kept}")
+            rank = kept
+            break
+        _, estimate = _iteration_estimate(factors[-1], s2, tol)
         if estimate <= rank or rank == op.rank_bound:
             break
-        rank = min(2 * rank, op.rank_bound)
+        done, rank = rank, min(2 * rank, op.rank_bound)
+    u, lam = _nystrom_basis(omega_t[:rank], y_t[:rank], *factors[:3])
     scale = lam[-1] + s2
     if scale <= 0:
+        stats.precond_note = NO_PRECONDITIONER
         return None
     stats.precond_rank = rank
+    ratio, estimate = _iteration_estimate(lam[-1], s2, tol)
     stats.precond_lambda_ratio = float(ratio)
     stats.precond_iter_estimate = float(estimate)
     coef = scale / (lam[: u.shape[1]] + s2) - 1.0
     return lambda res: res + u @ (coef * (u.T @ res))
 
 
+def _largest_factoring(grams, rank, n):
+    """(k, _nystrom_factors) for the largest of rank, rank/2, rank/4, ...
+    whose leading k x k Gram blocks factor; (0, None) when none does."""
+    while rank:
+        try:
+            return rank, _nystrom_factors(*(g[:rank, :rank] for g in grams), n)
+        except np.linalg.LinAlgError:
+            rank //= 2
+    return 0, None
+
+
 def cg_solve(op, y, cfg=CgConfig()):
     """Solve op @ alpha = y by CG, Nystrom-preconditioned by default.
 
     ``op`` provides matvec(v), the whole operator, and for the
-    preconditioner ``n``, ``sigma2``, ``rank_bound`` and kernel_matmat(V),
-    the operator without sigma2 I on an (n, r) block.  The preconditioner
-    is built here, so its cost is part of the solve (stats.precond_seconds).
+    preconditioner ``n``, ``sigma2``, ``rank_bound`` and kernel_matmat(V,
+    out), the operator without sigma2 I on an (n, r) block, written into
+    ``out``.  The preconditioner is built here, so its cost is part of the
+    solve (stats.precond_seconds).
     Runs until the unpreconditioned relative residual ||r|| / ||y|| drops
     below cfg.rel_tolerance or the iteration budget is spent (reported in
     stats, not raised).  A search direction with p^T A p <= 0 means the

@@ -199,6 +199,7 @@ class TestGpFitPredict:
         assert doc["precond_rank"] > 0 and doc["precond_seconds"] > 0
         assert doc["precond_iter_estimate"] > 0
         assert doc["precond_lambda_ratio"] >= 0
+        assert doc["precond_note"] == ""
 
         pred = tmp_path / "pred.csv"
         res = runner.invoke(main, ["gp", "predict", "--model", str(model),
@@ -261,8 +262,24 @@ class TestGpFitPredict:
         assert res.exit_code == 0, res.output
         doc = json.loads(res.stdout)
         assert doc["precond_rank"] == 0 and doc["cg_iterations"] > 0
+        assert doc["precond_note"] == ""
         res = runner.invoke(main, args + ["--preconditioner", "jacobi"])
         assert res.exit_code == 1
+
+    def test_fit_reports_why_the_preconditioner_rank_was_cut(
+            self, runner, tmp_path, monkeypatch):
+        # a sketch started at full rank n fails to factor and keeps n/2
+        monkeypatch.setattr(skigrid.ski, "SKETCH_START_RANK", 200)
+        train = tmp_path / "train.csv"
+        make_train_csv(train, n=200, d=4, noise=0.05, seed=5)
+        res = runner.invoke(main, self.fit_args(
+            train, tmp_path / "m.json", resolution=3, sigma2=0.01,
+            cg_tol=1e-6))
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.stdout)
+        assert doc["precond_rank"] == 100
+        assert doc["precond_note"] == ("factorization failed at rank 200; "
+                                       "kept rank 100")
 
     def test_predict_dimension_mismatch_exit_1(self, runner, tmp_path):
         train = tmp_path / "train.csv"

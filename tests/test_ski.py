@@ -1,12 +1,14 @@
 """SKI operator, CG solver, GP fit/predict, and the exact dense oracle."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
-from skigrid import interp
+from skigrid import interp, ski
 from skigrid.grids import build_sparse_grid
 from skigrid.interp import BaseRule, WeightMatrix, assemble_W
 from skigrid.kernels import ProductKernel
@@ -54,8 +56,51 @@ class _DiagOp:
     def matvec(self, v):
         return self.diag * v
 
-    def kernel_matmat(self, V):
-        return self.diag[:, None] * V
+    def kernel_matmat(self, V, out=None):
+        if out is None:
+            out = np.empty(V.shape)
+        out[...] = self.diag[:, None] * V
+        return out
+
+
+def ski_operator(n, d, ell, sigma2, ls=0.3, seed=3):
+    """SkiOperator on n uniform points, with no dense reference."""
+    X = np.random.default_rng(seed).uniform(size=(n, d))
+    plan = build_plan(ell, d, ProductKernel(lengthscales=np.full(d, ls)))
+    W = assemble_W(X, build_sparse_grid(ell, d))
+    return SkiOperator(W, lambda v: sg_mvm_batched(plan, v), sigma2,
+                       mvm_floats=plan.workspace_floats)
+
+
+def reference_preconditioner(op, tol):
+    """The sketch rebuilt from scratch at every doubling (hstack'd columns,
+    Cholesky QR of the whole omega): (P^-1, rank, iteration estimate)."""
+    rng = np.random.default_rng(ski.SKETCH_SEED)
+    omega = y_raw = np.empty((op.n, 0))
+    rank = min(ski.SKETCH_START_RANK, op.rank_bound)
+    while True:
+        new = rng.standard_normal((op.n, rank - omega.shape[1]))
+        omega = np.hstack([omega, new])
+        y_raw = np.hstack([y_raw, op.kernel_matmat(new)])
+        r = scipy.linalg.cholesky(omega.T @ omega)
+        q = scipy.linalg.solve_triangular(r, omega.T, trans="T").T
+        y = scipy.linalg.solve_triangular(r, y_raw.T, trans="T").T
+        nu = np.sqrt(op.n) * np.spacing(np.linalg.norm(y))
+        y += nu * q
+        core = q.T @ y
+        c = scipy.linalg.cholesky((core + core.T) / 2)
+        b = scipy.linalg.solve_triangular(c, y.T, trans="T").T
+        s2, v = np.linalg.eigh(b.T @ b)
+        s2, v = s2[::-1], v[:, ::-1]
+        lam = np.maximum(s2 - nu, 0.0)
+        keep = lam > 0
+        u = b @ (v[:, keep] / np.sqrt(s2[keep]))
+        estimate = 0.5 * np.sqrt(1 + lam[-1] / op.sigma2) * np.log(2 / tol)
+        if estimate <= rank or rank == op.rank_bound:
+            break
+        rank = min(2 * rank, op.rank_bound)
+    coef = (lam[-1] + op.sigma2) / (lam[keep] + op.sigma2) - 1.0
+    return lambda res: res + u @ (coef * (u.T @ res)), rank, estimate
 
 
 class TestSkiOperator:
@@ -87,6 +132,24 @@ class TestSkiOperator:
         for _ in range(5):
             v = rng.standard_normal(op.n)
             assert v @ op.matvec(v) >= 0.3 * (v @ v) - 1e-8
+
+    def test_kernel_matmat_into_out_is_bit_identical(self):
+        rng, op, dense = small_instance(11)
+        op.chunk = 3                    # several chunks per block
+        V = rng.standard_normal((op.n, 16))
+        got = op.kernel_matmat(V)
+        np.testing.assert_allclose(got, (dense - op.sigma2 * np.eye(op.n)) @ V,
+                                   rtol=0, atol=1e-10)
+        # a transposed row buffer, as the sketch passes it, and views of V
+        # that are not C-contiguous
+        for block in (V, np.asfortranarray(V),
+                      rng.standard_normal((op.n, 32))[:, ::2]):
+            buf = np.full((20, op.n), np.nan)
+            out = buf[2:18].T
+            assert op.kernel_matmat(block, out=out) is out
+            np.testing.assert_array_equal(out, op.kernel_matmat(
+                np.ascontiguousarray(block)))
+            assert np.isnan(buf[:2]).all() and np.isnan(buf[18:]).all()
 
     def test_negative_sigma_rejected(self):
         empty = scipy.sparse.csr_matrix((2, 3))
@@ -138,6 +201,13 @@ class TestCg:
         assert stats.diverged and not stats.converged
         assert stats.precond_rank == 0
 
+    def test_no_preconditioner_is_explained(self):
+        _, stats = cg_solve(_DiagOp([-1.0, -1.0, -1.0]), np.ones(3))
+        assert stats.precond_note == ski.NO_PRECONDITIONER
+        _, stats = cg_solve(_DiagOp([2.0, 3.0]), np.ones(2),
+                            CgConfig(preconditioner="none"))
+        assert stats.precond_note == ""
+
     def test_nystrom_cuts_iterations_and_matches_dense_solve(self):
         rng, op, dense = small_instance(5, n=400, ell=4, d=3, sigma2=1e-3)
         y = rng.standard_normal(op.n)
@@ -147,6 +217,7 @@ class TestCg:
         assert stats.converged and plain.converged
         assert 0 < stats.precond_rank <= op.rank_bound
         assert stats.precond_seconds > 0
+        assert stats.precond_note == ""
         assert 3 * stats.n_iters <= plain.n_iters
         np.testing.assert_allclose(alpha, np.linalg.solve(dense, y),
                                    rtol=0, atol=1e-6)
@@ -207,6 +278,69 @@ class TestCg:
             CgConfig(preconditioner="ssor")
         with pytest.raises(ValueError):
             CgConfig(preconditioner="jacobi")
+
+
+class TestNystromSketch:
+    # each sketch doubles once or more and keeps lam_r far above roundoff
+    # of ||A||: where lam_r nears sqrt(eps) ||A||, both routes' smallest
+    # eigenpairs are noise and agree only to that noise
+    @pytest.mark.parametrize("build", [
+        lambda: small_instance(0, n=400, ell=4, d=3, sigma2=3e-5)[1],
+        lambda: small_instance(3, n=400, ell=4, d=3, sigma2=1e-4)[1],
+        lambda: ski_operator(4000, 4, 4, 0.0025),
+    ], ids=["d3_seed0", "d3_seed3", "d4_n4000"])
+    def test_matches_the_sketch_rebuilt_at_every_doubling(self, build):
+        op = build()
+        tol = 1e-5
+        ref, rank, estimate = reference_preconditioner(op, tol)
+        stats = CgStats()
+        precond = ski._nystrom_preconditioner(op, tol, stats)
+        assert stats.precond_rank == rank > ski.SKETCH_START_RANK
+        assert stats.precond_iter_estimate == pytest.approx(estimate, rel=1e-9)
+        for res in np.random.default_rng(1).standard_normal((3, op.n)):
+            want = ref(res)
+            assert (np.linalg.norm(precond(res) - want)
+                    <= 1e-10 * np.linalg.norm(want))
+
+    def test_peak_memory_is_three_sketch_arrays(self, monkeypatch):
+        # three doublings (16 -> 128) on a short lengthscale; the rank stops
+        # one short of rank_bound = |G| = 129, so the two row buffers, which
+        # tracemalloc counts whole, are the size of the final sketch
+        monkeypatch.setattr(ski, "SKETCH_START_RANK", 16)
+        op = ski_operator(4000, 2, 4, 1e-6, ls=0.05)
+        V = np.ones((op.n, min(op.chunk, 64)))
+        out = np.empty(V.shape)
+        stats = CgStats()
+        tracemalloc.start()
+        try:
+            op.kernel_matmat(V, out=out)
+            chunk = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ski._nystrom_preconditioner(op, 1e-5, stats)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert stats.precond_rank == 128 and op.rank_bound == 129
+        assert peak <= 3.5 * op.n * stats.precond_rank * 8 + chunk
+
+    def test_full_rank_sketch_falls_back_to_half_rank(self, monkeypatch):
+        # the serving workload's setting with the sketch started at n: the
+        # rank-1000 factorization fails, and half the rank still factors
+        monkeypatch.setattr(ski, "SKETCH_START_RANK", 1000)
+        op = ski_operator(1000, 6, 4, 0.01)
+        y = np.cos(np.random.default_rng(5).uniform(size=op.n))
+        _, plain = cg_solve(op, y, CgConfig(rel_tolerance=1e-5, max_iters=2000,
+                                            preconditioner="none"))
+        alpha, stats = cg_solve(op, y, CgConfig(rel_tolerance=1e-5,
+                                                max_iters=2000))
+        assert stats.converged and plain.converged
+        assert stats.precond_rank == 500
+        assert stats.precond_note == ("factorization failed at rank 1000; "
+                                      "kept rank 500")
+        assert 10 * stats.n_iters <= plain.n_iters
+        resid = y - op.matvec(alpha)
+        assert np.linalg.norm(resid) <= 1e-5 * np.linalg.norm(y)
 
 
 class TestDomainMap:
