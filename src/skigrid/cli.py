@@ -331,8 +331,11 @@ def _gp_config(r, dim):
               default="sparse")
 @click.option("--resolution", type=int, default=4)
 @click.option("--dense-count", type=int, default=8)
-@click.option("--rule", type=click.Choice(RULE_KINDS), default="simplicial")
-@click.option("--method", type=click.Choice(METHODS), default="combination")
+@click.option("--rule", type=click.Choice(RULE_KINDS), default=GpConfig.rule,
+              show_default=True,
+              help="Base rule of dense lattices and the combination methods.")
+@click.option("--method", type=click.Choice(METHODS), default=GpConfig.method,
+              show_default=True, help="Sparse-grid interpolation.")
 @click.option("--cg-tol", type=float, default=1e-4)
 @click.option("--cg-max-iters", type=int, default=1000)
 @click.option("--preconditioner", type=click.Choice(["none", "nystrom"]),

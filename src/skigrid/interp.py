@@ -1,49 +1,66 @@
 """Interpolation weights on rectilinear lattices and sparse grids.
 
-Base rules on a uniform lattice: simplicial (Kuhn-triangulation barycentric
-weights, d+1 entries), tensor linear (2^d), tensor cubic (Keys kernel,
-a = -1/2, 4^d).  A sparse-grid row is the alternating combination of base
-rows over the top d resolution shells,
+A sparse grid G(ell, d) is interpolated by one of three methods.
+
+hierarchical (the GP default): the grid is the disjoint union of the
+hierarchical subspaces Omega_l, |l|_1 <= ell, and the interpolant is
+sum_l sum_j alpha_{l,j} phi_{l,j}(x), phi a product of 1-d hats with
+clamped boundaries (the level-0 hat is the constant 1, and the outermost hat
+of each level stays at 1 out to the faces; Bungartz & Griebel, "Sparse
+grids", Acta Numerica 2004; Pflueger 2010).  At any x exactly one hat per
+subspace is non-zero, so W = Phi H: a row of Phi has one entry per
+subspace, C(ell + d, d) of them, none repeated, and H maps grid values to
+the surpluses alpha (about 6.5 non-zeros a row at d = 4 and 8 at d = 6).
+The base rule is not consulted.
+
+combination and subsampled: base rules on a uniform lattice, simplicial
+(Kuhn-triangulation barycentric weights, d+1 entries), tensor linear (2^d)
+or tensor cubic (Keys kernel, a = -1/2, 4^d), combined over the top d
+resolution shells,
 
     sum_{q=0}^{d-1} (-1)^q C(d-1, q) * [rows on every Omega_l, |l|_1 = ell-q],
 
 accumulated in global sparse-grid indices; the subsampled variant averages
 the shell |l|_1 = ell restricted to grids containing a component of ell or
-ell-1.
+ell-1.  A UniformLattice takes the base rule alone and ignores the method.
 
-assemble_W evaluates every component grid at once.  The components of a
-(resolution, dim, method) are stacked once into (C, d) tables of counts,
-spacings, offsets and row-major strides, with (C,) coefficients and one
-table concatenating every component's rect_injection; a corner's column is
-that table at its component's base plus its row-major index, so no point
-lookup is needed.  A UniformLattice is the C = 1 case with no injection.
-Points go through in row blocks sized from a byte budget.  Every rule runs
-one pass per stencil shape, the ordered widths of a component's multi-point
-axes, with the cells and local coordinates of a pass's c components on
-their k such axes as (rows, c, k) arrays: the tensor rules take the
-products of per-axis stencils; the simplicial rule sorts the coordinates
-with one argsort and walks the Kuhn simplex by cumulative strides, k + 1
-corners (Kapoor et al., "SKIing on Simplices", ICML 2021).  Entries keep
-component-then-corner order within a row, so duplicates merge in the same
-order whatever the block size.
+The tables of a (resolution, dim, method) are built once, on first use.
+For the combination methods the component lattices are stacked into (C, d)
+tables of counts, spacings, offsets and row-major strides, with (C,)
+coefficients and one table concatenating every component's rect_injection;
+a corner's column is that table at its component's base plus its row-major
+index, so no point lookup is needed.  A UniformLattice is the C = 1 case
+with no injection.  Every rule runs one pass per stencil shape, the ordered
+widths of a component's multi-point axes, with the cells and local
+coordinates of a pass's c components on their k such axes as (rows, c, k)
+arrays: the tensor rules take the products of per-axis stencils; the
+simplicial rule sorts the coordinates with one argsort and walks the Kuhn
+simplex by cumulative strides, k + 1 corners (Kapoor et al., "SKIing on
+Simplices", ICML 2021).  Entries keep component-then-corner order within a
+row, so duplicates merge in the same order whatever the block size.  The
+hierarchical tables are the same kind for the S subspaces (levels, strides,
+bases, concatenated rect_injection), plus H, whose hierarchical parents are
+found by index arithmetic on them; Phi's rows are one (rows, S, d) gather
+of per-axis hats, with nothing to merge.  Points go through in row blocks
+sized from a byte budget.
 
 interpolate evaluates W(X) @ values through the same passes and row blocks
-without forming W: each pass gathers the grid values of its entries and
-adds coefficient * weight * value into its rows, with no merge and no CSR.
-The fit builds W once and applies it twice per CG iteration; predictions
-and the interpolation benchmark evaluate grid values once per point, so
-they take this route.
+without forming W: each pass gathers the grid values of its entries (for
+hierarchical, the surpluses H @ values) and adds weight * value into its
+rows, with no merge and no CSR.  The fit builds W once and applies it twice
+per CG iteration; predictions and the interpolation benchmark evaluate grid
+values once per point, so they take this route.
 
 Out-of-hull queries are handled by clamping the cell index and local
 coordinate, which keeps rows a partition of unity; level-0 (single-point)
 dimensions carry all their weight on the lone coordinate.
 
-assemble_W cuts a W of at least SHARD_MIN_NNZ non-zeros into row parts of
-about equal nnz, one per CPU the process may run on, as it joins its row
-blocks.  The parts are applied at the same time on a thread pool with
-scipy's public products, whose kernels release the interpreter lock: W v
-is bit-identical to the single product; W^T u sums one partial per part in
-part order.
+assemble_W cuts a W (Phi, for hierarchical) of at least SHARD_MIN_NNZ
+non-zeros into row parts of about equal nnz, one per CPU the process may
+run on, as it joins its row blocks.  The parts are applied at the same time
+on a thread pool with scipy's public products, whose kernels release the
+interpreter lock: W v is bit-identical to the single product; W^T u sums
+one partial per part in part order.
 """
 
 import math
@@ -60,7 +77,7 @@ import scipy.sparse
 from .grids import SparseGrid, rect_injection
 
 RULE_KINDS = ("simplicial", "linear", "cubic")
-METHODS = ("combination", "subsampled")
+METHODS = ("hierarchical", "combination", "subsampled")
 
 # Byte budget of one row block's (rows, entries) work arrays; assembly holds
 # a few of them at a time besides the merged rows.
@@ -298,11 +315,13 @@ def subsampled_components(resolution, dim):
 
 
 def _components(resolution, dim, method):
+    """(levels, coefficient) pairs of ``method``; hierarchical gives the
+    combination pairs, which its oracle applies to nested lattices."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method == "combination":
-        return combination_components(resolution, dim)
-    return subsampled_components(resolution, dim)
+    if method == "subsampled":
+        return subsampled_components(resolution, dim)
+    return combination_components(resolution, dim)
 
 
 # ---- stacked component tables -----------------------------------------------
@@ -335,6 +354,8 @@ class _Components:
     rect_injection, component c from ``bases[c]``; it is None for a lone
     lattice, whose row-major indices are the columns.
     """
+
+    H = None  # no surpluses: rows weigh grid values
 
     def __init__(self, counts, spacings, offsets, coeffs, injections=None):
         self.counts = np.asarray(counts, dtype=np.int64)
@@ -404,6 +425,16 @@ class _Components:
             w_out[:, p.slots] = w.reshape(m, p.slots.size)
         return flat_out, w_out
 
+    def rows(self, X, kind, size):
+        """CSR rows of X over ``size`` grid columns, duplicates merged."""
+        flat, vals = self.block(X, kind)
+        cols = flat if self.columns is None else self.columns[flat]
+        return _merged_rows(cols, vals, size)
+
+    def table_values(self, values):
+        """Grid values in table order: what evaluated()'s indices gather."""
+        return values if self.columns is None else values[self.columns]
+
 
 def _simplex_pass(p, cell, r):
     """Kuhn-walk corners and weights (m, c, k+1): the base corner plus the
@@ -433,8 +464,129 @@ def _tensor_pass(p, cell, r):
     return flat, w
 
 
+def _hats(X, resolution):
+    """Index and weight (m, d, resolution + 1) of the one clamped hat per
+    level 0..resolution that can be non-zero at each coordinate of X (m, d).
+
+    Level l has 2^l hats centred on (2i + 1) / 2^(l+1), each falling to 0
+    at the neighbouring level-(l-1) nodes; the first and last stay at 1 out
+    to the faces, so the level-0 hat is the constant 1.
+    """
+    scale = np.ldexp(1.0, np.arange(resolution + 1) + 1)   # 2^(l+1)
+    last = scale / 2 - 1
+    t = X[..., None] * scale
+    i = np.clip(np.floor(0.5 * t), 0, last)
+    s = np.clip(t - (2 * i + 1), np.where(i > 0, -1.0, 0.0),
+                np.where(i < last, 1.0, 0.0))
+    return i.astype(np.int64), 1.0 - np.abs(s)
+
+
+class _Hierarchy:
+    """The S = C(resolution + dim, dim) hierarchical subspaces Omega_l,
+    |l|_1 <= resolution, of G(resolution, dim), and the surplus matrix H.
+
+    ``levels`` (S, d) are sorted by their mixed-radix key sum_j l_j
+    (resolution + 1)^(d-1-j), so a level vector's subspace is a
+    searchsorted of its key.  That order is lexicographic, as the
+    canonical point order is (see grids), so the columns of a row of Phi
+    ascend.  ``strides`` (S, d) are row-major over the 2^l hats of each
+    axis; ``columns`` concatenates every subspace's rect_injection,
+    subspace s from ``bases[s]``, so the table is a permutation of the
+    grid.  H (|G| x |G| CSR) maps grid values to surpluses.
+    """
+
+    def __init__(self, resolution, dim):
+        levels = np.array([lv for total in range(resolution + 1)
+                           for lv in _compositions(total, dim)],
+                          dtype=np.int64).reshape(-1, dim)
+        self.radix = (resolution + 1) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+        levels = levels[np.argsort(levels @ self.radix)]
+        self.resolution = resolution
+        self.levels = levels
+        self.n_grids, self.dim = levels.shape
+        self.keys = levels @ self.radix
+        self.counts = 1 << levels
+        self.strides = np.ones_like(self.counts)
+        self.strides[:, :-1] = np.cumprod(self.counts[:, :0:-1], axis=1)[:, ::-1]
+        sizes = self.counts.prod(axis=1)
+        self.bases = np.cumsum(sizes) - sizes
+        # int32 columns go into scipy's CSR without a copy
+        self.columns = np.concatenate(
+            [rect_injection(tuple(lv), resolution) for lv in levels.tolist()]
+        ).astype(np.int32)
+        self.H = self._surplus_matrix(sizes)
+
+    def _surplus_matrix(self, sizes):
+        """H = H_{d-1} ... H_0, H_j the 1-d hierarchization along axis j.
+
+        Along axis j a hat (level l, index i) has its hierarchical parents
+        at the level-l dyadics i / 2^l and (i + 1) / 2^l that are not
+        faces; k = 2^z (2m + 1) is hat m of level l - 1 - z, whose subspace
+        is the one with the key less (z + 1) (resolution + 1)^j.  Its
+        surplus is its value less the mean of its parents' values (none at
+        level 0, one at the ends of a level).  Every entry is a dyadic
+        rational, so the product is exact.
+        """
+        size = len(self.columns)
+        sub = np.repeat(np.arange(self.n_grids), sizes)
+        idx = (np.arange(size)[:, None] - self.bases[sub, None]) \
+            // self.strides[sub] % self.counts[sub]
+        rows = self.columns.astype(np.int64)
+        H = scipy.sparse.identity(size, format="csr")
+        for j in range(self.dim):
+            at, parents = [], []
+            for k in (idx[:, j], idx[:, j] + 1):
+                inner = np.nonzero((k > 0) & (k < self.counts[sub, j]))[0]
+                low = k[inner] & -k[inner]      # 2^z
+                ps = np.searchsorted(self.keys, self.keys[sub[inner]] - self.radix[j]
+                                     * (np.log2(low).astype(np.int64) + 1))
+                pidx = idx[inner]
+                pidx[:, j] = k[inner] // low // 2
+                at.append(inner)
+                parents.append(self.columns[self.bases[ps]
+                                            + (pidx * self.strides[ps]).sum(axis=1)])
+            at = np.concatenate(at)
+            Hj = scipy.sparse.csr_matrix(
+                (np.concatenate([np.ones(size), -1.0 / np.bincount(at)[at]]),
+                 (np.concatenate([rows, rows[at]]),
+                  np.concatenate([rows, *parents]))),
+                shape=(size, size))
+            H = Hj @ H
+        H.sort_indices()
+        return H
+
+    def block_rows(self, kind=None):
+        """Rows per block: one (rows, S, d) array of 8-byte items fills
+        BLOCK_BYTES."""
+        return max(1, BLOCK_BYTES // (8 * self.levels.size))
+
+    def evaluated(self, X, kind=None):
+        """Yield once (None, table positions, weights) of X's rows, (m, S,
+        1) each, as one pass of S components with one slot: every
+        subspace's one hat, the product of its axes' hats."""
+        idx, w = _hats(X, self.resolution)
+        axes = np.arange(self.dim)
+        flat = np.einsum("msd,sd->ms", idx[:, axes, self.levels], self.strides) \
+            + self.bases
+        yield None, flat[..., None], w[:, axes, self.levels].prod(axis=2)[..., None]
+
+    def rows(self, X, kind, size):
+        """CSR rows of Phi at X: S entries each, every column once."""
+        (_, flat, w), = self.evaluated(X)
+        S = self.n_grids
+        return scipy.sparse.csr_matrix(
+            (w.ravel(), self.columns[flat.ravel()], np.arange(0, w.size + 1, S)),
+            shape=(len(X), size))
+
+    def table_values(self, values):
+        """The surpluses H @ values in table order."""
+        return (self.H @ values)[self.columns]
+
+
 @lru_cache(maxsize=None)
 def _grid_components(resolution, dim, method):
+    if method == "hierarchical":
+        return _Hierarchy(resolution, dim)
     comps = _components(resolution, dim, method)
     levels = np.array([lv for lv, _ in comps], dtype=np.int64).reshape(-1, dim)
     return _Components(
@@ -455,9 +607,14 @@ class WeightMatrix:
     about equal nnz for a W of at least SHARD_MIN_NNZ non-zeros.  apply and
     apply_transpose run the first part on the calling thread and the others
     on the shard pool, at the same time.
+
+    With ``surpluses`` H (hierarchical), the parts hold Phi, one entry per
+    subspace (zeros kept), and W = Phi H: apply is Phi (H v) and
+    apply_transpose H^T (Phi^T u).  ``nnz`` and ``max_row_nnz`` count
+    Phi's entries.
     """
 
-    def __init__(self, parts, rule, method, n_grids, dim):
+    def __init__(self, parts, rule, method, n_grids, dim, surpluses=None):
         if scipy.sparse.issparse(parts):  # iterating it would yield its rows
             raise TypeError("parts must be a list of CSR row parts")
         self.parts = parts
@@ -465,6 +622,7 @@ class WeightMatrix:
         self.method = method
         self.n_grids = n_grids
         self.dim = dim
+        self.surpluses = surpluses
         # W^T's parts are CSC views of the same arrays
         self._transposes = [p.T for p in parts]
         ends = np.cumsum([p.shape[0] for p in parts]).tolist()
@@ -473,28 +631,33 @@ class WeightMatrix:
         self.nnz = sum(p.nnz for p in parts)
         self.max_row_nnz = max(int(np.diff(p.indptr).max(initial=0))
                                for p in parts)
-        self.density_bound = rule.density(dim) * n_grids
+        per_grid = 1 if surpluses is not None else rule.density(dim)
+        self.density_bound = per_grid * n_grids
         if self.max_row_nnz > self.density_bound:
             raise RuntimeError(
                 f"W has a row with {self.max_row_nnz} entries; the "
-                f"{rule.kind} rule over {n_grids} grids allows at most "
-                f"{self.density_bound}")
+                f"{rule.kind if surpluses is None else 'hierarchical'} rule "
+                f"over {n_grids} grids allows at most {self.density_bound}")
 
     @property
     def matrix(self):
-        """W as one CSR matrix (a copy when W has more than one part)."""
-        if len(self.parts) == 1:
-            return self.parts[0]
-        return scipy.sparse.vstack(self.parts, format="csr")
+        """W as one CSR matrix (a copy when W has more than one part or
+        surpluses)."""
+        phi = (self.parts[0] if len(self.parts) == 1
+               else scipy.sparse.vstack(self.parts, format="csr"))
+        return phi if self.surpluses is None else (phi @ self.surpluses).tocsr()
 
     def apply(self, v):
         """W @ v for v of shape (m,) or (m, r); costs O(nnz).
 
         Each part writes its rows of the output with scipy's product, so
-        the result is bit-identical to ``matrix @ v``.
+        the result is bit-identical to ``matrix @ v`` (to ``Phi @ (H @ v)``
+        with surpluses).
         """
         v = np.asarray(v)
         x = v.reshape(len(v), math.prod(v.shape[1:]))
+        if self.surpluses is not None:
+            x = self.surpluses @ x
         out = np.empty((self.shape[0], x.shape[1]),
                        np.result_type(self.parts[0].dtype, x.dtype))
         _each(lambda k: _columns(self.parts[k], x, out[self._rows[k]]),
@@ -518,7 +681,7 @@ class WeightMatrix:
         out = partials[0]
         for partial in partials[1:]:
             out += partial
-        return out
+        return out if self.surpluses is None else self.surpluses.T @ out
 
     def __repr__(self):
         n, m = self.shape
@@ -620,8 +783,8 @@ def _merged_rows(cols, vals, size):
 
 
 def _prepared(X, grid, rule, method):
-    """Checked float64 X (n, d), the BaseRule, the grid's stacked
-    components and the method W records ("rect" on a lattice)."""
+    """Checked float64 X (n, d), the BaseRule, the grid's tables and the
+    method W records ("rect" on a lattice)."""
     rule = _as_rule(rule)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -643,33 +806,32 @@ def assemble_W(X, grid, rule=BaseRule(), method="combination"):
     """Interpolation matrix for query points X over a sparse grid or lattice.
 
     X is (n, d); grid is a SparseGrid (rows combined across component
-    grids per `method`) or a UniformLattice (single-grid rows, method
-    ignored).  Row i holds the weights of x_i.
+    grids per `method`, or Phi H for "hierarchical", which ignores `rule`)
+    or a UniformLattice (single-grid rows, method ignored).  Row i holds
+    the weights of x_i.
 
     All components are evaluated together from their stacked tables, in
     row blocks sized from BLOCK_BYTES; each block's rows have their
-    duplicates merged in component-then-corner order and the blocks'
-    CSR arrays are concatenated into W's row parts (see _row_parts), so W
-    does not depend on the block size.
+    duplicates merged in component-then-corner order (hierarchical rows
+    have none) and the blocks' CSR arrays are concatenated into W's row
+    parts (see _row_parts), so W does not depend on the block size.
     """
     X, rule, comps, method = _prepared(X, grid, rule, method)
     n, d = X.shape
     step = comps.block_rows(rule.kind)
-    blocks = []
-    for start in range(0, max(n, 1), step):
-        Xb = X[start : start + step]
-        flat, vals = comps.block(Xb, rule.kind)
-        cols = flat if comps.columns is None else comps.columns[flat]
-        blocks.append(_merged_rows(cols, vals, grid.size))
-    return WeightMatrix(_row_parts(blocks), rule, method, comps.n_grids, d)
+    blocks = [comps.rows(X[start : start + step], rule.kind, grid.size)
+              for start in range(0, max(n, 1), step)]
+    return WeightMatrix(_row_parts(blocks), rule, method, comps.n_grids, d,
+                        surpluses=comps.H)
 
 
 def interpolate(X, grid, values, rule=BaseRule(), method="combination"):
     """W(X) @ values for grid values (grid.size,), without forming W.
 
     Runs assemble_W's passes on the same row blocks, gathers each entry's
-    grid value and sums coefficient * weight * value into its row: no
-    merge, no CSR.  Within roundoff of assemble_W(X, grid, rule,
+    grid value (for hierarchical, its surplus: H @ values, one sparse
+    product a call) and sums weight * value into its row: no merge, no
+    CSR.  Within roundoff of assemble_W(X, grid, rule,
     method).apply(values), and checked the same way.
     """
     X, rule, comps, _ = _prepared(X, grid, rule, method)
@@ -677,8 +839,8 @@ def interpolate(X, grid, values, rule=BaseRule(), method="combination"):
     if values.shape != (grid.size,):
         raise ValueError(f"values has shape {values.shape}; the grid has "
                          f"{grid.size} points")
-    # the grid values in component-table order: one gather per call
-    g = values if comps.columns is None else values[comps.columns]
+    # the values in table order: one gather per call
+    g = comps.table_values(values)
     out = np.zeros(len(X))
     step = comps.block_rows(rule.kind)
     for start in range(0, len(X), step):
@@ -693,15 +855,18 @@ def interpolate(X, grid, values, rule=BaseRule(), method="combination"):
 
 def interpolate_direct(f, X, resolution, dim, base=BaseRule(),
                        method="combination"):
-    """Combination-rule interpolant of f at X, by direct evaluation.
+    """Sparse-grid interpolant of f at X, by direct evaluation.
 
     Computes every component's corner coordinates directly from the
     lattice geometry, with no grid enumeration or index lookup, so it
     cross-checks the assemble_W route end to end.  f is called once, on
     the distinct corners, found by sorting exact integer keys: corner c of
     a level-l axis lies at (2c + 1) / 2^(l+1), and l <= resolution, so a
-    key is 2^(resolution+1) times the corner's coordinates.
+    key is 2^(resolution+1) times the corner's coordinates.  "hierarchical"
+    ignores ``base``; see _nested_direct.
     """
+    if method == "hierarchical":
+        return _nested_direct(f, X, resolution, dim)
     base = _as_rule(base)
     X = np.asarray(X, dtype=np.float64)
     comps = _components(resolution, dim, method)
@@ -727,3 +892,58 @@ def interpolate_direct(f, X, resolution, dim, base=BaseRule(),
         out += coeff * (w * vals[start : start + w.size].reshape(w.shape)).sum(axis=1)
         start += w.size
     return out
+
+
+def _nested_direct(f, X, resolution, dim):
+    """The hierarchical interpolant of f at X, without Phi or H.
+
+    It equals the combination technique, with tensor linear weights, over
+    the nested lattices of levels l: per axis the 2^(l+1) - 1 nodes j /
+    2^(l+1), the union of Omega_0..Omega_l, with the value at the end node
+    held out to the faces (the clamped hats span exactly these functions).
+    The components are grouped by their count k of multi-point axes, each
+    group a (rows, c, 2^k) pass.  A corner's key packs per axis its
+    coordinate times 2^(resolution+1), resolution + 1 bits, into one int64
+    for np.unique.  The weights and the sum are in np.longdouble: the
+    alternating coefficients cancel, and float64 left about 6e-14 of
+    roundoff in the sum.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    bits = resolution + 1
+    if bits * dim > 63:
+        raise ValueError(f"hierarchical oracle keys need {bits * dim} bits; "
+                         f"at most 63 fit an int64")
+    comps = combination_components(resolution, dim)
+    levels = np.array([lv for lv, _ in comps], dtype=np.int64).reshape(-1, dim)
+    coeffs = np.array([c for _, c in comps], dtype=np.longdouble)
+    shifts = bits * np.arange(dim, dtype=np.int64)
+    half = 1 << resolution                       # the key of coordinate 1/2
+    multi = (levels > 0).sum(axis=1)
+    n = len(X)
+    keys, weights = [], []
+    for k in np.unique(multi):
+        comp = np.nonzero(multi == k)[0]
+        axes = np.nonzero(levels[comp] > 0)[1].reshape(len(comp), k)
+        lev = levels[comp[:, None], axes]
+        t = X[:, axes] * np.ldexp(1.0, lev + 1)  # in node spacings
+        left = np.clip(np.floor(t), 1, (1 << (lev + 1)) - 2)
+        r = np.clip(t - left, 0.0, 1.0).astype(np.longdouble)
+        left = left.astype(np.int64)
+        key = np.full((n, len(comp), 1), (half << shifts).sum(), dtype=np.int64)
+        w = np.broadcast_to(coeffs[comp, None], (n, len(comp), 1))
+        for j in range(k):
+            node = left[..., j : j + 1] + np.array([0, 1])
+            kj = ((node << (resolution - lev[:, j : j + 1])) - half) \
+                << shifts[axes[:, j : j + 1]]
+            wj = np.concatenate([1 - r[..., j : j + 1], r[..., j : j + 1]], axis=-1)
+            shape = (n, len(comp), 2 * key.shape[-1])
+            key = (key[..., :, None] + kj[..., None, :]).reshape(shape)
+            w = (w[..., :, None] * wj[..., None, :]).reshape(shape)
+        keys.append(key.reshape(n, len(comp) << k))
+        weights.append(w.reshape(n, len(comp) << k))
+    distinct, inverse = np.unique(np.concatenate(keys, axis=1).ravel(),
+                                  return_inverse=True)
+    coords = np.ldexp((distinct[:, None] >> shifts) & ((1 << bits) - 1), -bits)
+    vals = np.asarray(f(coords), dtype=np.longdouble)
+    w = np.concatenate(weights, axis=1)
+    return (w * vals[inverse.reshape(w.shape)]).sum(axis=1).astype(np.float64)

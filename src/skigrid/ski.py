@@ -387,13 +387,23 @@ class DomainMap:
 
 @dataclass(frozen=True)
 class GpConfig:
+    """Settings of one fit.
+
+    On a sparse grid ``method`` chooses the interpolation: "hierarchical"
+    (the default) is hierarchical-surplus linear interpolation, W = Phi H,
+    and does not consult ``rule``; "combination" and "subsampled" combine
+    the base ``rule`` (simplicial, linear or cubic) over component
+    lattices.  On a dense lattice ``rule`` alone applies and ``method`` is
+    ignored.
+    """
+
     kernel: ProductKernel
     sigma2: float
     grid: str = "sparse"            # sparse | dense
     resolution: int = 4             # sparse-grid resolution
     dense_count: int = 8            # points per dimension for grid="dense"
-    rule: str = "simplicial"
-    method: str = "combination"     # combination | subsampled
+    rule: str = "simplicial"        # dense lattices, combination, subsampled
+    method: str = "hierarchical"    # hierarchical | combination | subsampled
     cg: CgConfig = field(default_factory=CgConfig)
 
     def __post_init__(self):

@@ -183,6 +183,17 @@ class TestGpFitPredict:
                 "--cg-max-iters", str(kw.get("cg_max_iters", 3000))]
         return args
 
+    def test_flagless_fit_takes_the_library_defaults(self, runner, tmp_path):
+        train = tmp_path / "train.csv"
+        make_train_csv(train, n=60, d=2, seed=12)
+        model = tmp_path / "m.json"
+        res = runner.invoke(main, ["gp", "fit", "--data", str(train),
+                                   "--model", str(model)])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(model.read_text())
+        assert payload["method"] == "hierarchical" == skigrid.GpConfig.method
+        assert payload["rule"] == "simplicial" == skigrid.GpConfig.rule
+
     def test_fit_then_predict_self_consistency(self, runner, tmp_path):
         # tiny sigma^2, noiseless targets: training-file predictions must
         # land within 1e-2 of the standardized targets.  Needs |G| > n so
@@ -268,13 +279,15 @@ class TestGpFitPredict:
 
     def test_fit_reports_why_the_preconditioner_rank_was_cut(
             self, runner, tmp_path, monkeypatch):
-        # a sketch started at full rank n fails to factor and keeps n/2
+        # a sketch started at full rank n fails to factor and keeps n/2;
+        # with the combination weights, since the hierarchical operator's
+        # full-rank sketch factors here
         monkeypatch.setattr(skigrid.ski, "SKETCH_START_RANK", 200)
         train = tmp_path / "train.csv"
         make_train_csv(train, n=200, d=4, noise=0.05, seed=5)
         res = runner.invoke(main, self.fit_args(
             train, tmp_path / "m.json", resolution=3, sigma2=0.01,
-            cg_tol=1e-6))
+            cg_tol=1e-6) + ["--method", "combination"])
         assert res.exit_code == 0, res.output
         doc = json.loads(res.stdout)
         assert doc["precond_rank"] == 100

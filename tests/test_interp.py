@@ -830,3 +830,201 @@ class TestConvergence:
             rms = float(np.sqrt(np.mean((W.apply(f(g.points())) - f(X)) ** 2)))
             errs.append(rms)
         assert all(b < a for a, b in zip(errs, errs[1:]))
+
+
+# ---- hierarchical-surplus interpolation ---------------------------------
+
+
+def hier(X, grid, values):
+    return interpolate(X, grid, values, method="hierarchical")
+
+
+def reference_surplus_matrix(grid):
+    """H by its definition, with a dict from coordinates to grid index:
+    along each axis a point's surplus is its value less the mean of its
+    neighbours at distance 2^-(l+1) that lie inside (0, 1)."""
+    P = grid.points()
+    index = {tuple(p): i for i, p in enumerate(P)}
+    H = scipy.sparse.identity(grid.size, format="csr")
+    for j in range(grid.dim):
+        rows, cols, vals = list(range(grid.size)), list(range(grid.size)), \
+            [1.0] * grid.size
+        for i, (p, lev) in enumerate(zip(P, grid.levels)):
+            step = 2.0 ** -(lev[j] + 1)
+            near = []
+            for side in (-step, step):
+                q = p.copy()
+                q[j] += side
+                if 0 < q[j] < 1:
+                    near.append(index[tuple(q)])
+            rows += [i] * len(near)
+            cols += near
+            vals += [-1.0 / len(near) for _ in near]
+        H = scipy.sparse.csr_matrix((vals, (rows, cols)),
+                                    shape=H.shape) @ H
+    return H
+
+
+def exact_hierarchical(f, x, grid):
+    """The hierarchical interpolant of f at one point x, in exact rational
+    arithmetic: surpluses of f's grid values summed against every clamped
+    hat of the grid, each hat by its definition."""
+    from fractions import Fraction
+
+    H = reference_surplus_matrix(grid).tocsr()
+    values = [Fraction(float(v)) for v in f(grid.points())]
+    total = Fraction(0)
+    for p in range(grid.size):
+        alpha = sum(Fraction(float(h)) * values[c] for h, c in
+                    zip(H.data[H.indptr[p]:H.indptr[p + 1]],
+                        H.indices[H.indptr[p]:H.indptr[p + 1]]))
+        phi = Fraction(1)
+        for lev, pos, xj in zip(grid.levels[p], grid.positions[p], x):
+            t = Fraction(float(xj)) * 2 ** (int(lev) + 1) - int(pos)
+            if (pos == 1 and t < 0) or (pos == 2 ** (lev + 1) - 1 and t > 0):
+                continue  # the end hats stay at 1 out to the faces
+            phi *= max(Fraction(0), 1 - abs(t))
+        total += alpha * phi
+    return total
+
+
+class TestHierarchical:
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_phi_of_the_grid_is_inverse_of_H(self, d):
+        g = build_sparse_grid(4 if d <= 5 else 3, d)
+        W = assemble_W(g.points(), g, method="hierarchical")
+        err = abs(W.matrix - scipy.sparse.identity(g.size)).max()
+        assert err <= 1e-14
+
+    @pytest.mark.parametrize("ell,d", [(0, 1), (3, 1), (4, 2), (3, 3), (2, 3)])
+    def test_H_matches_the_dict_built_reference(self, ell, d):
+        g = build_sparse_grid(ell, d)
+        H = _grid_components(ell, d, "hierarchical").H
+        assert abs(H - reference_surplus_matrix(g)).max() == 0
+
+    def test_rows_hold_one_hat_per_subspace(self):
+        # C(l + d, d) entries, columns ascending, no merge; the rule is
+        # not consulted
+        g = build_sparse_grid(4, 6)
+        X = np.random.default_rng(103).uniform(-0.2, 1.2, (300, 6))
+        W = assemble_W(X, g, method="hierarchical")
+        assert W.n_grids == math.comb(4 + 6, 6) == 210
+        assert W.nnz == 300 * 210 and W.max_row_nnz == W.density_bound == 210
+        for p in W.parts:
+            assert (np.diff(p.indices.reshape(-1, 210), axis=1) > 0).all()
+        cubic = assemble_W(X, g, BaseRule("cubic"), method="hierarchical")
+        np.testing.assert_array_equal(cubic.matrix.toarray(),
+                                      W.matrix.toarray())
+        H = W.surpluses
+        assert H.nnz / g.size == pytest.approx(8.12, abs=0.01)
+
+    @pytest.mark.parametrize("ell,d", [(0, 2), (3, 1), (4, 4), (4, 6), (3, 8)])
+    def test_constants_reproduced(self, ell, d):
+        g = build_sparse_grid(ell, d)
+        X = np.random.default_rng(107).uniform(-0.5, 1.5, (200, d))
+        np.testing.assert_allclose(hier(X, g, np.full(g.size, 2.5)), 2.5,
+                                   rtol=0, atol=1e-14)
+
+    def test_constant_beyond_the_outermost_nodes(self):
+        # every hat is flat beyond the outermost nodes, 2^-(l+1) from the
+        # faces, so points outside the hull take the value at its edge
+        ell, d = 4, 3
+        g = build_sparse_grid(ell, d)
+        values = np.random.default_rng(109).standard_normal(g.size)
+        X = np.random.default_rng(113).uniform(-1.0, 2.0, (300, d))
+        edge = 2.0 ** -(ell + 1)
+        np.testing.assert_allclose(hier(X, g, values),
+                                   hier(np.clip(X, edge, 1 - edge), g, values),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_points_and_one_point(self, n):
+        g = build_sparse_grid(3, 3)
+        X = np.full((n, 3), 0.3)
+        W = assemble_W(X, g, method="hierarchical")
+        assert W.shape == (n, g.size) and W.nnz == 20 * n
+        values = np.arange(g.size, dtype=float)
+        assert W.apply(values).shape == hier(X, g, values).shape == (n,)
+        assert W.apply_transpose(np.ones(n)).shape == (g.size,)
+        f = lambda P: np.cos(P.sum(axis=1))
+        np.testing.assert_allclose(
+            hier(X, g, f(g.points())),
+            interpolate_direct(f, X, 3, 3, method="hierarchical"),
+            rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("ell,d", [(4, 2), (4, 4), (4, 6), (3, 8)])
+    def test_interpolate_matches_W_route(self, ell, d):
+        g = build_sparse_grid(ell, d)
+        rng = np.random.default_rng(127)
+        X = rng.uniform(-0.1, 1.1, (300, d))
+        X[:50] = np.round(X[:50] * 8) / 8  # on hat peaks and edges
+        values = rng.uniform(size=g.size)
+        W = assemble_W(X, g, method="hierarchical")
+        np.testing.assert_allclose(hier(X, g, values), W.apply(values),
+                                   rtol=0, atol=1e-12)
+
+    def test_block_edges_match_one_row_calls(self):
+        g = build_sparse_grid(4, 6)
+        B = _grid_components(4, 6, "hierarchical").block_rows()
+        X = np.random.default_rng(131).uniform(-0.1, 1.1, (B + 1, 6))
+        rows = [assemble_W(X[i : i + 1], g, method="hierarchical").matrix
+                for i in range(B + 1)]
+        for n in (B - 1, B, B + 1):
+            got = assemble_W(X[:n], g, method="hierarchical").matrix
+            want = scipy.sparse.vstack(rows[:n], format="csr")
+            np.testing.assert_array_equal(got.toarray(), want.toarray())
+
+    def test_adjoint_and_matrix(self):
+        rng = np.random.default_rng(137)
+        g = build_sparse_grid(4, 3)
+        W = assemble_W(rng.uniform(0, 1, (60, 3)), g, method="hierarchical")
+        u, v = rng.standard_normal(60), rng.standard_normal((g.size, 2))
+        np.testing.assert_allclose(W.apply(v), W.matrix @ v, atol=1e-13)
+        np.testing.assert_allclose(W.apply_transpose(u), W.matrix.T @ u,
+                                   atol=1e-13)
+        assert W.apply(v[:, 0]) @ u == pytest.approx(
+            v[:, 0] @ W.apply_transpose(u), abs=1e-12)
+
+    @pytest.mark.parametrize("ell,d", [(4, 1), (5, 2), (4, 3), (4, 4), (4, 6)])
+    def test_matches_the_nested_lattice_oracle(self, ell, d):
+        g = build_sparse_grid(ell, d)
+        f = lambda P: np.cos(P.sum(axis=1)) + 0.3 * P[:, 0] * P[:, -1]
+        X = np.random.default_rng(139).uniform(-0.3, 1.3, (200, d))
+        X[:20] = np.round(X[:20] * 16) / 16
+        np.testing.assert_allclose(
+            hier(X, g, f(g.points())),
+            interpolate_direct(f, X, ell, d, method="hierarchical"),
+            rtol=0, atol=1e-12)
+
+    def test_oracle_calls_f_once_on_distinct_grid_points(self):
+        calls = []
+
+        def f(P):
+            calls.append(P.copy())
+            return np.cos(P.sum(axis=1))
+
+        g = build_sparse_grid(3, 3)
+        X = np.random.default_rng(149).uniform(-0.2, 1.2, (20, 3))
+        interpolate_direct(f, X, 3, 3, method="hierarchical")
+        assert len(calls) == 1
+        assert len(np.unique(calls[0], axis=0)) == len(calls[0])
+        on_grid = {tuple(p) for p in g.points()}
+        assert all(tuple(p) in on_grid for p in calls[0])
+
+    def test_oracle_rejects_keys_wider_than_int64(self):
+        with pytest.raises(ValueError, match="bits"):
+            interpolate_direct(lambda P: P[:, 0], np.zeros((1, 16)), 3, 16,
+                               method="hierarchical")
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= 1e-18,
+        reason="np.longdouble is no wider than float64 here, so the oracle "
+               "keeps float64 roundoff (about 6e-14 at d = 6)")
+    @pytest.mark.parametrize("ell,d", [(3, 2), (4, 2), (3, 3)])
+    def test_oracle_within_1e_16_of_exact_arithmetic(self, ell, d):
+        g = build_sparse_grid(ell, d)
+        f = lambda P: 0.5 * np.cos(3 * P.sum(axis=1)) - 0.2 * P[:, 0]
+        X = np.random.default_rng(151).uniform(-0.1, 1.1, (4, d))
+        got = interpolate_direct(f, X, ell, d, method="hierarchical")
+        for x, value in zip(X, got):
+            assert abs(value - float(exact_hierarchical(f, x, g))) <= 1e-16

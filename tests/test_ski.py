@@ -1,7 +1,9 @@
 """SKI operator, CG solver, GP fit/predict, and the exact dense oracle."""
 
+import base64
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,7 +250,8 @@ class TestCg:
         stats = model.fit_stats
         assert stats.converged and not stats.diverged
         # true residual through the recursive MVM, a second route
-        W = assemble_W(model.domain_map.forward(X), model.grid)
+        W = assemble_W(model.domain_map.forward(X), model.grid,
+                       method=cfg.method)
         plan = build_plan(6, 2, cfg.kernel)
         Ka = W.apply(sg_mvm(plan, W.apply_transpose(model.alpha)))
         resid = y - Ka - cfg.sigma2 * model.alpha
@@ -387,7 +390,7 @@ class TestFitPredict:
         model = fit(cfg, X, y)
         grid = build_sparse_grid(3, 2)
         plan_kernel = cfg.kernel
-        W = assemble_W(model.domain_map.forward(X), grid)
+        W = assemble_W(model.domain_map.forward(X), grid, method=cfg.method)
         K_G = plan_kernel.pairwise(grid.points())
         k11 = materialize_ski(W, K_G, 0.0)[0, 0]
         assert model.alpha[0] == pytest.approx(2.5 / (k11 + 0.5), rel=1e-8)
@@ -402,17 +405,18 @@ class TestFitPredict:
         model = fit(cfg, X, y)
         assert model.fit_stats.precond_rank == 20
         grid = build_sparse_grid(3, 2)
-        W = assemble_W(model.domain_map.forward(X), grid)
+        W = assemble_W(model.domain_map.forward(X), grid, method=cfg.method)
         Kt = materialize_ski(W, cfg.kernel.pairwise(grid.points()), 0.01)
         np.testing.assert_allclose(model.alpha, np.linalg.solve(Kt, y),
                                    rtol=0, atol=1e-8)
 
     def test_fits_are_bit_identical(self, monkeypatch):
         # the sketch's test matrix is seeded and W^T sums its row parts in
-        # a fixed order, so repeated fits agree exactly; at n = 3000, d = 4
-        # W is over SHARD_MIN_NNZ and is cut into two parts
+        # a fixed order, so repeated fits agree exactly; at n = 4000, d = 4
+        # Phi (70 entries a row) is over SHARD_MIN_NNZ and is cut into two
+        # parts
         monkeypatch.setattr(interp, "shard_count", lambda: 2)
-        for n, d in ((300, 3), (3000, 4)):
+        for n, d in ((300, 3), (4000, 4)):
             rng = np.random.default_rng(49)
             X = rng.uniform(0, 1, (n, d))
             y = np.cos(X.sum(axis=1)) + 0.05 * rng.standard_normal(n)
@@ -422,8 +426,8 @@ class TestFitPredict:
             np.testing.assert_array_equal(a.alpha, b.alpha)
             assert a.fit_stats.residual_norms == b.fit_stats.residual_norms
             # true residual through the recursive MVM and scipy's products
-            W = assemble_W(a.domain_map.forward(X), a.grid)
-            assert (len(W.parts) == 2) == (n == 3000)
+            W = assemble_W(a.domain_map.forward(X), a.grid, method=cfg.method)
+            assert (len(W.parts) == 2) == (n == 4000)
             Ka = W.matrix @ sg_mvm(build_plan(4, d, cfg.kernel),
                                    W.matrix.T @ a.alpha)
             resid = y - Ka - cfg.sigma2 * a.alpha
@@ -436,7 +440,7 @@ class TestFitPredict:
         cfg = quick_cfg(d, ell, sigma2=1e-8, tol=1e-12)
         grid = build_sparse_grid(ell, d)
         dm = DomainMap.fit(X, 2.0 ** -(ell + 1))
-        W = assemble_W(dm.forward(X), grid)
+        W = assemble_W(dm.forward(X), grid, method=cfg.method)
         Kt = materialize_ski(W, cfg.kernel.pairwise(grid.points()), 1e-8)
         y = np.linalg.cholesky(Kt + 1e-10 * np.eye(n)) @ rng.standard_normal(n)
         model = fit(cfg, X, y)
@@ -492,8 +496,9 @@ class TestFitPredict:
             model = fit(cfg, X, y)
             Xs = rng.uniform(-1, 1, (40, d))
             grid = build_sparse_grid(ell, d)
-            W = assemble_W(model.domain_map.forward(X), grid)
-            Ws = assemble_W(model.domain_map.forward(Xs), grid)
+            W = assemble_W(model.domain_map.forward(X), grid, method=cfg.method)
+            Ws = assemble_W(model.domain_map.forward(Xs), grid,
+                            method=cfg.method)
             K_G = cfg.kernel.pairwise(grid.points())
             Kt = materialize_ski(W, K_G, cfg.sigma2)
             alpha = np.linalg.solve(Kt, y)
@@ -609,6 +614,38 @@ class TestFitPredict:
         loaded = load_model(path)
         assert loaded.config.cg.preconditioner == CgConfig().preconditioner
         Xs = rng.uniform(0, 1, (30, 2))
+        np.testing.assert_array_equal(loaded.predict_mean(Xs),
+                                      model.predict_mean(Xs))
+
+    def test_combination_model_file_predicts_as_saved(self):
+        # written with "method": "combination" by the release before
+        # hierarchical interpolation became the default, together with the
+        # predictions it then gave at 12 points inside and around the box
+        # and 3 training points
+        path = Path(__file__).parent / "data" / "model_combination.json"
+        expected = json.loads(path.read_text())["expected"]
+
+        def unpack(s):
+            return np.frombuffer(base64.b64decode(s), dtype=np.float64)
+
+        model = load_model(path)
+        assert (model.config.method, model.config.rule) == ("combination",
+                                                            "simplicial")
+        X = unpack(expected["X"]).reshape(expected["shape"])
+        np.testing.assert_array_equal(model.predict_mean(X),
+                                      unpack(expected["mean"]), strict=True)
+
+    def test_hierarchical_is_the_default_and_round_trips(self, tmp_path):
+        rng = np.random.default_rng(79)
+        X = rng.uniform(0, 1, (100, 3))
+        model = fit(quick_cfg(3), X, np.sin(X.sum(axis=1)))
+        assert model.config.method == "hierarchical"
+        path = tmp_path / "model.json"
+        model.save(path)
+        assert json.loads(path.read_text())["method"] == "hierarchical"
+        loaded = load_model(path)
+        np.testing.assert_array_equal(loaded.grid_dual, model.grid_dual)
+        Xs = rng.uniform(-0.2, 1.2, (30, 3))
         np.testing.assert_array_equal(loaded.predict_mean(Xs),
                                       model.predict_mean(Xs))
 
