@@ -25,6 +25,7 @@ from .interp import (
     assemble_W,
     interpolate,
     interpolate_direct,
+    interpolator,
 )
 from .kernels import ProductKernel
 from .sgmvm import (
@@ -73,6 +74,7 @@ __all__ = [
     "gen_synthetic",
     "interpolate",
     "interpolate_direct",
+    "interpolator",
     "load_model",
     "matched_dense_side",
     "naive_kernel_mvm",

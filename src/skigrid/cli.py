@@ -266,7 +266,8 @@ def cmd_mvm_bench(ctx, **r):
 @click.option("-v", "--verbose", count=True)
 @click.pass_context
 def cmd_interp_bench(ctx, **r):
-    """Interpolation RMS error on sparse vs point-matched dense grids."""
+    """Interpolation RMS error of base rules, combination technique on
+    sparse grids vs point-matched dense lattices."""
 
     def run():
         levels = _parse_ints(r["ells"])

@@ -24,32 +24,35 @@ accumulated in global sparse-grid indices; the subsampled variant averages
 the shell |l|_1 = ell restricted to grids containing a component of ell or
 ell-1.  A UniformLattice takes the base rule alone and ignores the method.
 
-The tables of a (resolution, dim, method) are built once, on first use.
-For the combination methods the component lattices are stacked into (C, d)
-tables of counts, spacings, offsets and row-major strides, with (C,)
-coefficients and one table concatenating every component's rect_injection;
-a corner's column is that table at its component's base plus its row-major
-index, so no point lookup is needed.  A UniformLattice is the C = 1 case
-with no injection.  Every rule runs one pass per stencil shape, the ordered
-widths of a component's multi-point axes, with the cells and local
-coordinates of a pass's c components on their k such axes as (rows, c, k)
-arrays: the tensor rules take the products of per-axis stencils; the
-simplicial rule sorts the coordinates with one argsort and walks the Kuhn
-simplex by cumulative strides, k + 1 corners (Kapoor et al., "SKIing on
-Simplices", ICML 2021).  Entries keep component-then-corner order within a
-row, so duplicates merge in the same order whatever the block size.  The
-hierarchical tables are the same kind for the S subspaces (levels, strides,
-bases, concatenated rect_injection), plus H, whose hierarchical parents are
-found by index arithmetic on them; Phi's rows are one (rows, S, d) gather
-of per-axis hats, with nothing to merge.  Points go through in row blocks
-sized from a byte budget.
+interpolator(grid, rule, method) checks its arguments once and returns the
+tables bound to that one setting; assemble_W and interpolate are calls on
+it, and a GpModel holds one.  The tables of a sparse grid are built once
+per (resolution, dim, method, rule) in a process.  For the combination
+methods the component lattices are stacked into (C, d) tables of counts,
+spacings, offsets and row-major strides, with (C,) coefficients and one
+table concatenating every component's rect_injection; a corner's column is
+that table at its component's base plus its row-major index, so no point
+lookup is needed.  A UniformLattice is the C = 1 case with no injection.
+The bound rule runs one pass per stencil shape, the ordered widths of a
+component's multi-point axes, with the cells and local coordinates of a
+pass's c components on their k such axes as (rows, c, k) arrays: the tensor
+rules take the products of per-axis stencils; the simplicial rule sorts the
+coordinates with one argsort and walks the Kuhn simplex by cumulative
+strides, k + 1 corners (Kapoor et al., "SKIing on Simplices", ICML 2021).
+Entries keep component-then-corner order within a row, so duplicates merge
+in the same order whatever the block size.  The hierarchical tables are the
+same kind for the S subspaces (levels, strides, bases, concatenated
+rect_injection), plus H, whose hierarchical parents are found by index
+arithmetic on them; Phi's rows are one (rows, S, d) gather of per-axis
+hats, with nothing to merge.  Points go through in row blocks sized from a
+byte budget.
 
-interpolate evaluates W(X) @ values through the same passes and row blocks
-without forming W: each pass gathers the grid values of its entries (for
-hierarchical, the surpluses H @ values) and adds weight * value into its
-rows, with no merge and no CSR.  The fit builds W once and applies it twice
-per CG iteration; predictions and the interpolation benchmark evaluate grid
-values once per point, so they take this route.
+An interpolator's weights(X) is the W the fit builds once and applies twice
+per CG iteration.  Its evaluate(X, g) runs the same passes and row blocks
+without forming W: g holds the grid values in table order (table_values;
+for hierarchical, the surpluses H @ values), each pass gathers the values
+of its entries and adds weight * value into its rows, with no merge and no
+CSR.  A GpModel forms g once, so a request costs one evaluate.
 
 Out-of-hull queries are handled by clamping the cell index and local
 coordinate, which keeps rows a partition of unity; level-0 (single-point)
@@ -74,7 +77,7 @@ from itertools import product
 import numpy as np
 import scipy.sparse
 
-from .grids import SparseGrid, rect_injection
+from .grids import SparseGrid, rect_injection, sparse_grid_size
 
 RULE_KINDS = ("simplicial", "linear", "cubic")
 METHODS = ("hierarchical", "combination", "subsampled")
@@ -315,13 +318,12 @@ def subsampled_components(resolution, dim):
 
 
 def _components(resolution, dim, method):
-    """(levels, coefficient) pairs of ``method``; hierarchical gives the
-    combination pairs, which its oracle applies to nested lattices."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    """(levels, coefficient) pairs of the combination or subsampled method."""
     if method == "subsampled":
         return subsampled_components(resolution, dim)
-    return combination_components(resolution, dim)
+    if method == "combination":
+        return combination_components(resolution, dim)
+    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 # ---- stacked component tables -----------------------------------------------
@@ -346,39 +348,106 @@ class _StencilPass:
     slots: np.ndarray
 
 
-class _Components:
-    """Component lattices stacked as (C, d) tables, grouped per rule into
-    one pass per stencil shape.
+class _Tables:
+    """What the interpolator classes share: W(X) and W(X) @ values over
+    row blocks of their tables.
 
-    ``strides`` are row-major.  ``columns`` concatenates every component's
-    rect_injection, component c from ``bases[c]``; it is None for a lone
-    lattice, whose row-major indices are the columns.
+    A subclass sets ``size`` (grid points), ``n_grids``, ``dim``,
+    ``columns`` (the concatenated injections, or None when row-major
+    indices are the columns), ``H`` (the surpluses, or None when rows
+    weigh grid values), ``row_bound`` (the most entries a row may have)
+    and ``setting`` (its rule and method, for messages), and gives
+    block_rows(), evaluated(X) and rows(X).
     """
 
-    H = None  # no surpluses: rows weigh grid values
+    H = None
 
-    def __init__(self, counts, spacings, offsets, coeffs, injections=None):
-        self.counts = np.asarray(counts, dtype=np.int64)
-        self.spacings = np.asarray(spacings, dtype=np.float64)
-        self.offsets = np.asarray(offsets, dtype=np.float64)
-        self.coeffs = np.asarray(coeffs, dtype=np.float64)
-        self.n_grids, self.dim = self.counts.shape
-        self.strides = np.ones_like(self.counts)
-        self.strides[:, :-1] = np.cumprod(self.counts[:, :0:-1], axis=1)[:, ::-1]
-        if injections is None:
-            self.columns, self.bases = None, np.zeros(self.n_grids, dtype=np.int64)
-        else:
-            sizes = np.array([len(t) for t in injections], dtype=np.int64)
-            self.bases = np.cumsum(sizes) - sizes
-            # int32 columns go into scipy's CSR without a copy
-            self.columns = np.concatenate(injections).astype(np.int32)
-        self.passes = {kind: self._stencil_passes(kind) for kind in RULE_KINDS}
-        self.row_entries = {kind: sum(p.slots.size for p in passes)
-                            for kind, passes in self.passes.items()}
+    def _stack(self, counts, injections):
+        """Set the (C, d) ``counts`` of C stacked grids, their row-major
+        ``strides``, the ``bases`` of their blocks in the table and the
+        ``columns`` concatenating their injections (None for a lone
+        lattice, whose row-major indices are the columns); returns the
+        grids' sizes."""
+        self.counts = counts
+        self.n_grids, self.dim = counts.shape
+        self.strides = np.ones_like(counts)
+        self.strides[:, :-1] = np.cumprod(counts[:, :0:-1], axis=1)[:, ::-1]
+        sizes = counts.prod(axis=1)
+        self.bases = np.cumsum(sizes) - sizes
+        # int32 columns go into scipy's CSR without a copy
+        self.columns = (None if injections is None
+                        else np.concatenate(injections).astype(np.int32))
+        return sizes
 
-    @classmethod
-    def lattice(cls, lat):
-        return cls(lat.counts[None], lat.spacings[None], lat.offsets[None], [1.0])
+    def _points(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValueError("X must be (n, d)")
+        if not np.isfinite(X).all():
+            raise ValueError("X must be finite")
+        if X.shape[1] != self.dim:
+            raise ValueError(f"points have dim {X.shape[1]}, grid has dim "
+                             f"{self.dim}")
+        return X
+
+    def weights(self, X):
+        """W(X), row i the weights of x_i, as a WeightMatrix.
+
+        Rows go through in blocks of block_rows(); each block's rows have
+        their duplicates merged in component-then-corner order
+        (hierarchical rows have none) and the blocks' CSR arrays are
+        concatenated into W's row parts (see _row_parts), so W does not
+        depend on the block size.
+        """
+        X = self._points(X)
+        step = self.block_rows()
+        blocks = [self.rows(X[start : start + step])
+                  for start in range(0, max(len(X), 1), step)]
+        return WeightMatrix(_row_parts(blocks), self)
+
+    def table_values(self, values):
+        """Grid values (size,) in table order, what evaluated()'s indices
+        gather: for hierarchical the surpluses H @ values."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != (self.size,):
+            raise ValueError(f"values has shape {values.shape}; the grid has "
+                             f"{self.size} points")
+        if self.H is not None:
+            values = self.H @ values
+        return values if self.columns is None else values[self.columns]
+
+    def evaluate(self, X, g):
+        """W(X) @ values for g = table_values(values), without forming W:
+        weights' passes on the same row blocks, each entry's weight times
+        its value summed into its row, no merge and no CSR.  Within
+        roundoff of weights(X).apply(values)."""
+        X = self._points(X)
+        out = np.zeros(len(X))
+        step = self.block_rows()
+        for start in range(0, len(X), step):
+            rows = slice(start, start + step)
+            for _, flat, w in self.evaluated(X[rows]):
+                out[rows] += np.einsum("ick,ick->i", w, g[flat])
+        return out
+
+
+class _Components(_Tables):
+    """Component lattices stacked as (C, d) tables (int64 counts, float64
+    spacings, offsets and coefficients) and bound to one base rule
+    ``kind``, as one pass per stencil shape.  Component c's rect_injection
+    starts at ``bases[c]`` in ``columns``; a lone lattice has method
+    "rect" and no columns.
+    """
+
+    def __init__(self, counts, spacings, offsets, coeffs, kind, method, size,
+                 injections=None):
+        self._stack(counts, injections)
+        self.spacings, self.offsets, self.coeffs = spacings, offsets, coeffs
+        self.kind, self.size = kind, size
+        self.setting = f"rule={kind}, method={method}"
+        self.row_bound = rule_density(kind, self.dim) * self.n_grids
+        self.passes = self._stencil_passes(kind)
+        self.row_entries = sum(p.slots.size for p in self.passes)
 
     def _stencil_passes(self, kind):
         widths = _stencil_widths(self.counts, kind)
@@ -398,42 +467,38 @@ class _Components:
                 (starts[rows] + np.arange(sizes[comps[0]])).ravel()))
         return passes
 
-    def block_rows(self, kind):
+    def block_rows(self):
         """Rows per block: one (rows, entries) array of 8-byte items fills
         BLOCK_BYTES."""
-        return max(1, BLOCK_BYTES // (8 * self.row_entries[kind]))
+        return max(1, BLOCK_BYTES // (8 * self.row_entries))
 
-    def evaluated(self, X, kind):
-        """Yield (pass, flat, w) for X's rows under rule ``kind``, one per
-        stencil shape on its components' multi-point axes: row-major
-        indices plus bases, and coefficient-scaled weights, (m, c, slots)."""
-        pass_fn = _simplex_pass if kind == "simplicial" else _tensor_pass
-        for p in self.passes[kind]:
+    def evaluated(self, X):
+        """Yield (pass, flat, w) for X's rows, one per stencil shape on its
+        components' multi-point axes: row-major indices plus bases, and
+        coefficient-scaled weights, (m, c, slots)."""
+        pass_fn = _simplex_pass if self.kind == "simplicial" else _tensor_pass
+        for p in self.passes:
             cell, r = _local_cell((X[:, p.axes] - p.offsets) / p.spacings, p.counts)
             flat, w = pass_fn(p, cell, r)
             w *= p.coeffs[:, None]
             yield p, flat, w
 
-    def block(self, X, kind):
-        """Row-major indices plus bases, and weights, of X's rows under
-        rule ``kind``: (m, row_entries[kind]) each."""
+    def block(self, X):
+        """Row-major indices plus bases, and weights, of X's rows:
+        (m, row_entries) each."""
         m = len(X)
-        flat_out = np.empty((m, self.row_entries[kind]), dtype=np.int64)
-        w_out = np.empty((m, self.row_entries[kind]))
-        for p, flat, w in self.evaluated(X, kind):
+        flat_out = np.empty((m, self.row_entries), dtype=np.int64)
+        w_out = np.empty((m, self.row_entries))
+        for p, flat, w in self.evaluated(X):
             flat_out[:, p.slots] = flat.reshape(m, p.slots.size)
             w_out[:, p.slots] = w.reshape(m, p.slots.size)
         return flat_out, w_out
 
-    def rows(self, X, kind, size):
-        """CSR rows of X over ``size`` grid columns, duplicates merged."""
-        flat, vals = self.block(X, kind)
+    def rows(self, X):
+        """CSR rows of X over the grid's columns, duplicates merged."""
+        flat, vals = self.block(X)
         cols = flat if self.columns is None else self.columns[flat]
-        return _merged_rows(cols, vals, size)
-
-    def table_values(self, values):
-        """Grid values in table order: what evaluated()'s indices gather."""
-        return values if self.columns is None else values[self.columns]
+        return _merged_rows(cols, vals, self.size)
 
 
 def _simplex_pass(p, cell, r):
@@ -481,7 +546,7 @@ def _hats(X, resolution):
     return i.astype(np.int64), 1.0 - np.abs(s)
 
 
-class _Hierarchy:
+class _Hierarchy(_Tables):
     """The S = C(resolution + dim, dim) hierarchical subspaces Omega_l,
     |l|_1 <= resolution, of G(resolution, dim), and the surplus matrix H.
 
@@ -492,8 +557,11 @@ class _Hierarchy:
     ascend.  ``strides`` (S, d) are row-major over the 2^l hats of each
     axis; ``columns`` concatenates every subspace's rect_injection,
     subspace s from ``bases[s]``, so the table is a permutation of the
-    grid.  H (|G| x |G| CSR) maps grid values to surpluses.
+    grid.  H (|G| x |G| CSR) maps grid values to surpluses.  A row of Phi
+    has one entry per subspace, so ``row_bound`` is S.
     """
+
+    setting = "method=hierarchical"
 
     def __init__(self, resolution, dim):
         levels = np.array([lv for total in range(resolution + 1)
@@ -503,17 +571,10 @@ class _Hierarchy:
         levels = levels[np.argsort(levels @ self.radix)]
         self.resolution = resolution
         self.levels = levels
-        self.n_grids, self.dim = levels.shape
         self.keys = levels @ self.radix
-        self.counts = 1 << levels
-        self.strides = np.ones_like(self.counts)
-        self.strides[:, :-1] = np.cumprod(self.counts[:, :0:-1], axis=1)[:, ::-1]
-        sizes = self.counts.prod(axis=1)
-        self.bases = np.cumsum(sizes) - sizes
-        # int32 columns go into scipy's CSR without a copy
-        self.columns = np.concatenate(
-            [rect_injection(tuple(lv), resolution) for lv in levels.tolist()]
-        ).astype(np.int32)
+        sizes = self._stack(1 << levels, [rect_injection(tuple(lv), resolution)
+                                          for lv in levels.tolist()])
+        self.size, self.row_bound = len(self.columns), self.n_grids
         self.H = self._surplus_matrix(sizes)
 
     def _surplus_matrix(self, sizes):
@@ -555,12 +616,12 @@ class _Hierarchy:
         H.sort_indices()
         return H
 
-    def block_rows(self, kind=None):
+    def block_rows(self):
         """Rows per block: one (rows, S, d) array of 8-byte items fills
         BLOCK_BYTES."""
         return max(1, BLOCK_BYTES // (8 * self.levels.size))
 
-    def evaluated(self, X, kind=None):
+    def evaluated(self, X):
         """Yield once (None, table positions, weights) of X's rows, (m, S,
         1) each, as one pass of S components with one slot: every
         subspace's one hat, the product of its axes' hats."""
@@ -570,30 +631,53 @@ class _Hierarchy:
             + self.bases
         yield None, flat[..., None], w[:, axes, self.levels].prod(axis=2)[..., None]
 
-    def rows(self, X, kind, size):
+    def rows(self, X):
         """CSR rows of Phi at X: S entries each, every column once."""
         (_, flat, w), = self.evaluated(X)
-        S = self.n_grids
         return scipy.sparse.csr_matrix(
-            (w.ravel(), self.columns[flat.ravel()], np.arange(0, w.size + 1, S)),
-            shape=(len(X), size))
-
-    def table_values(self, values):
-        """The surpluses H @ values in table order."""
-        return (self.H @ values)[self.columns]
+            (w.ravel(), self.columns[flat.ravel()],
+             np.arange(0, w.size + 1, self.n_grids)), shape=(len(X), self.size))
 
 
 @lru_cache(maxsize=None)
-def _grid_components(resolution, dim, method):
+def _grid_components(resolution, dim, method, kind):
+    """The tables of G(resolution, dim) under ``method``, bound to base
+    rule ``kind``, which hierarchical ignores.  Built once in a process, so
+    that a fit's W, the model it returns and a model loaded in the same
+    process share one build (2-3, 5-8 and 13-18 ms at d = 4, 6 and 8,
+    l = 4, hierarchical, on a 2-vCPU x86 VM)."""
     if method == "hierarchical":
         return _Hierarchy(resolution, dim)
     comps = _components(resolution, dim, method)
     levels = np.array([lv for lv, _ in comps], dtype=np.int64).reshape(-1, dim)
     return _Components(
         2**levels, np.ldexp(1.0, -levels), np.ldexp(1.0, -levels - 1),
-        [c for _, c in comps],
+        np.array([c for _, c in comps]), kind, method,
+        sparse_grid_size(resolution, dim),
         [rect_injection(lv, resolution) for lv, _ in comps],
     )
+
+
+def interpolator(grid, rule=BaseRule(), method="combination"):
+    """The interpolation tables of ``grid`` bound to one rule and method.
+
+    grid is a SparseGrid (rows combined across component grids per
+    ``method``, or Phi H for "hierarchical", which ignores ``rule``) or a
+    UniformLattice (single-grid rows under ``rule``, method ignored).  The
+    grid and rule are checked here, the method when its tables are built
+    (an unknown one raises ValueError).  The result's weights(X)
+    is W(X); evaluate(X, table_values(values)) is W(X) @ values, and
+    table_values can be formed once for many X.
+    """
+    rule = _as_rule(rule)
+    if isinstance(grid, UniformLattice):
+        return _Components(grid.counts[None], grid.spacings[None],
+                           grid.offsets[None], np.ones(1), rule.kind, "rect",
+                           grid.size)
+    if not isinstance(grid, SparseGrid):
+        raise TypeError(f"grid must be SparseGrid or UniformLattice, "
+                        f"got {type(grid).__name__}")
+    return _grid_components(grid.resolution, grid.dim, method, rule.kind)
 
 
 # ---- weight-matrix assembly --------------------------------------------------
@@ -608,21 +692,19 @@ class WeightMatrix:
     apply_transpose run the first part on the calling thread and the others
     on the shard pool, at the same time.
 
-    With ``surpluses`` H (hierarchical), the parts hold Phi, one entry per
+    ``tables`` are the interpolator that made the parts: its ``row_bound``
+    is W's density bound, and its ``setting`` names W's rule and method.
+    When its H (hierarchical) is set, the parts hold Phi, one entry per
     subspace (zeros kept), and W = Phi H: apply is Phi (H v) and
     apply_transpose H^T (Phi^T u).  ``nnz`` and ``max_row_nnz`` count
     Phi's entries.
     """
 
-    def __init__(self, parts, rule, method, n_grids, dim, surpluses=None):
+    def __init__(self, parts, tables):
         if scipy.sparse.issparse(parts):  # iterating it would yield its rows
             raise TypeError("parts must be a list of CSR row parts")
         self.parts = parts
-        self.rule = rule
-        self.method = method
-        self.n_grids = n_grids
-        self.dim = dim
-        self.surpluses = surpluses
+        self.tables = tables
         # W^T's parts are CSC views of the same arrays
         self._transposes = [p.T for p in parts]
         ends = np.cumsum([p.shape[0] for p in parts]).tolist()
@@ -631,13 +713,12 @@ class WeightMatrix:
         self.nnz = sum(p.nnz for p in parts)
         self.max_row_nnz = max(int(np.diff(p.indptr).max(initial=0))
                                for p in parts)
-        per_grid = 1 if surpluses is not None else rule.density(dim)
-        self.density_bound = per_grid * n_grids
+        self.density_bound = tables.row_bound
         if self.max_row_nnz > self.density_bound:
             raise RuntimeError(
-                f"W has a row with {self.max_row_nnz} entries; the "
-                f"{rule.kind if surpluses is None else 'hierarchical'} rule "
-                f"over {n_grids} grids allows at most {self.density_bound}")
+                f"W has a row with {self.max_row_nnz} entries; "
+                f"{tables.setting} over {tables.n_grids} grids allows at "
+                f"most {self.density_bound}")
 
     @property
     def matrix(self):
@@ -645,7 +726,7 @@ class WeightMatrix:
         surpluses)."""
         phi = (self.parts[0] if len(self.parts) == 1
                else scipy.sparse.vstack(self.parts, format="csr"))
-        return phi if self.surpluses is None else (phi @ self.surpluses).tocsr()
+        return phi if self.tables.H is None else (phi @ self.tables.H).tocsr()
 
     def apply(self, v):
         """W @ v for v of shape (m,) or (m, r); costs O(nnz).
@@ -656,8 +737,8 @@ class WeightMatrix:
         """
         v = np.asarray(v)
         x = v.reshape(len(v), math.prod(v.shape[1:]))
-        if self.surpluses is not None:
-            x = self.surpluses @ x
+        if self.tables.H is not None:
+            x = self.tables.H @ x
         out = np.empty((self.shape[0], x.shape[1]),
                        np.result_type(self.parts[0].dtype, x.dtype))
         _each(lambda k: _columns(self.parts[k], x, out[self._rows[k]]),
@@ -681,12 +762,11 @@ class WeightMatrix:
         out = partials[0]
         for partial in partials[1:]:
             out += partial
-        return out if self.surpluses is None else self.surpluses.T @ out
+        return out if self.tables.H is None else self.tables.H.T @ out
 
     def __repr__(self):
         n, m = self.shape
-        return (f"WeightMatrix({n}x{m}, rule={self.rule.kind}, "
-                f"method={self.method}, nnz={self.nnz})")
+        return f"WeightMatrix({n}x{m}, {self.tables.setting}, nnz={self.nnz})"
 
 
 def shard_count():
@@ -782,72 +862,18 @@ def _merged_rows(cols, vals, size):
     return rows
 
 
-def _prepared(X, grid, rule, method):
-    """Checked float64 X (n, d), the BaseRule, the grid's tables and the
-    method W records ("rect" on a lattice)."""
-    rule = _as_rule(rule)
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("X must be (n, d)")
-    if not np.isfinite(X).all():
-        raise ValueError("X must be finite")
-    d = X.shape[1]
-    if not isinstance(grid, (SparseGrid, UniformLattice)):
-        raise TypeError(f"grid must be SparseGrid or UniformLattice, "
-                        f"got {type(grid).__name__}")
-    if grid.dim != d:
-        raise ValueError(f"points have dim {d}, grid has dim {grid.dim}")
-    if isinstance(grid, UniformLattice):
-        return X, rule, _Components.lattice(grid), "rect"
-    return X, rule, _grid_components(grid.resolution, d, method), method
-
-
 def assemble_W(X, grid, rule=BaseRule(), method="combination"):
-    """Interpolation matrix for query points X over a sparse grid or lattice.
-
-    X is (n, d); grid is a SparseGrid (rows combined across component
-    grids per `method`, or Phi H for "hierarchical", which ignores `rule`)
-    or a UniformLattice (single-grid rows, method ignored).  Row i holds
-    the weights of x_i.
-
-    All components are evaluated together from their stacked tables, in
-    row blocks sized from BLOCK_BYTES; each block's rows have their
-    duplicates merged in component-then-corner order (hierarchical rows
-    have none) and the blocks' CSR arrays are concatenated into W's row
-    parts (see _row_parts), so W does not depend on the block size.
-    """
-    X, rule, comps, method = _prepared(X, grid, rule, method)
-    n, d = X.shape
-    step = comps.block_rows(rule.kind)
-    blocks = [comps.rows(X[start : start + step], rule.kind, grid.size)
-              for start in range(0, max(n, 1), step)]
-    return WeightMatrix(_row_parts(blocks), rule, method, comps.n_grids, d,
-                        surpluses=comps.H)
+    """Interpolation matrix for query points X (n, d) over a sparse grid or
+    lattice: interpolator(grid, rule, method).weights(X)."""
+    return interpolator(grid, rule, method).weights(X)
 
 
 def interpolate(X, grid, values, rule=BaseRule(), method="combination"):
-    """W(X) @ values for grid values (grid.size,), without forming W.
-
-    Runs assemble_W's passes on the same row blocks, gathers each entry's
-    grid value (for hierarchical, its surplus: H @ values, one sparse
-    product a call) and sums weight * value into its row: no merge, no
-    CSR.  Within roundoff of assemble_W(X, grid, rule,
-    method).apply(values), and checked the same way.
-    """
-    X, rule, comps, _ = _prepared(X, grid, rule, method)
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (grid.size,):
-        raise ValueError(f"values has shape {values.shape}; the grid has "
-                         f"{grid.size} points")
-    # the values in table order: one gather per call
-    g = comps.table_values(values)
-    out = np.zeros(len(X))
-    step = comps.block_rows(rule.kind)
-    for start in range(0, len(X), step):
-        rows = slice(start, start + step)
-        for _, flat, w in comps.evaluated(X[rows], rule.kind):
-            out[rows] += np.einsum("ick,ick->i", w, g[flat])
-    return out
+    """W(X) @ values for grid values (grid.size,), without forming W: the
+    interpolator's evaluate, one table_values a call.  Within roundoff of
+    assemble_W(X, grid, rule, method).apply(values)."""
+    tables = interpolator(grid, rule, method)
+    return tables.evaluate(X, tables.table_values(values))
 
 
 # ---- direct interpolation (index-free evaluation route) ---------------------

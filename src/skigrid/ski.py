@@ -5,8 +5,10 @@ row-sparse interpolation matrix onto a structured grid and K_G applied by a
 fast backend (sparse-grid plan, dense Kronecker lattice, or the naive dense
 reference).  Fitting solves (W K_G W^T + sigma^2 I) alpha = y by CG; the
 predictive mean is W_* (K_G (W^T alpha)), whose grid-sized inner part is
-precomputed once at fit time, so prediction evaluates the interpolant of
-those grid values at the new points (interp.interpolate) and builds no W_*.
+precomputed once at fit time.  A GpModel holds the interpolator of its grid
+and those grid values in its table order (for hierarchical interpolation,
+their surpluses), both formed when the model is made, so a prediction is one
+evaluate at the new points and builds no W_*.
 
 CG is preconditioned by a randomized Nystrom approximation of W K_G W^T,
 sketched in place: two preallocated row buffers, small Gram matrices
@@ -27,7 +29,7 @@ import scipy.linalg
 import scipy.linalg.blas
 
 from .grids import build_sparse_grid
-from .interp import METHODS, BaseRule, UniformLattice, assemble_W, interpolate
+from .interp import METHODS, BaseRule, UniformLattice, assemble_W, interpolator
 from .kernels import KroneckerToeplitz, ProductKernel
 from .sgmvm import build_plan, sg_mvm_batched
 
@@ -416,17 +418,23 @@ class GpConfig:
             raise ValueError(f"method must be one of {METHODS}")
 
 
+def _config_grid(cfg, dim):
+    """The grid of a fit under ``cfg``: G(resolution, dim), or the
+    dense_count^dim unit lattice."""
+    return (build_sparse_grid(cfg.resolution, dim) if cfg.grid == "sparse"
+            else UniformLattice.unit(dim, cfg.dense_count))
+
+
 def _build_backend(cfg, dim):
     """(grid object for W assembly, grid kernel MVM, half-spacing delta,
     workspace floats per column of one MVM)."""
+    grid = _config_grid(cfg, dim)
     if cfg.grid == "sparse":
-        grid = build_sparse_grid(cfg.resolution, dim)
         plan = build_plan(cfg.resolution, dim, cfg.kernel)
         return (grid, lambda v: sg_mvm_batched(plan, v),
                 2.0 ** -(cfg.resolution + 1), plan.workspace_floats)
-    lattice = UniformLattice.unit(dim, cfg.dense_count)
-    kron = KroneckerToeplitz(cfg.kernel, lattice.counts, lattice.spacings)
-    return lattice, kron.mvm, 0.5 / cfg.dense_count, kron.size
+    kron = KroneckerToeplitz(cfg.kernel, grid.counts, grid.spacings)
+    return grid, kron.mvm, 0.5 / cfg.dense_count, kron.size
 
 
 class GpModel:
@@ -434,7 +442,9 @@ class GpModel:
 
     Predictions are y_mean + y_std * (the fitted GP's mean): when the
     targets were standardized before fitting, y_mean and y_std undo it.
-    Both are saved with the model.
+    Both are saved with the model.  The interpolator of the config's rule
+    and method on ``grid``, and grid_dual in its table order, are formed
+    here, once.
     """
 
     def __init__(self, config, domain_map, grid, grid_dual, alpha, fit_stats,
@@ -448,6 +458,8 @@ class GpModel:
         self.n_train = n_train
         self.y_mean = float(y_mean)
         self.y_std = float(y_std)
+        self._interp = interpolator(grid, config.rule, config.method)
+        self._values = self._interp.table_values(grid_dual)
 
     def predict_mean(self, Xs):
         Xs = np.asarray(Xs, dtype=np.float64)
@@ -461,9 +473,7 @@ class GpModel:
         # constant in training to 0.5 whatever Xs holds there
         if not np.isfinite(Xs).all():
             raise ValueError("Xs must be finite")
-        U = self.domain_map.forward(Xs)
-        mean = interpolate(U, self.grid, self.grid_dual,
-                           BaseRule(self.config.rule), method=self.config.method)
+        mean = self._interp.evaluate(self.domain_map.forward(Xs), self._values)
         return mean * self.y_std + self.y_mean
 
     def save(self, path, **extra):
@@ -517,13 +527,11 @@ def load_model(path):
         rule=payload["rule"], method=payload["method"],
         cg=CgConfig(**cg),
     )
-    grid = (build_sparse_grid(cfg.resolution, g["dim"]) if cfg.grid == "sparse"
-            else UniformLattice.unit(g["dim"], cfg.dense_count))
     ystd = payload.get("y_standardization", {"mean": 0.0, "std": 1.0})
     return GpModel(
         config=cfg,
         domain_map=DomainMap.from_json(payload["domain_map"]),
-        grid=grid,
+        grid=_config_grid(cfg, g["dim"]),
         grid_dual=_unb64(payload["grid_dual"]),
         alpha=_unb64(payload["alpha"]),
         fit_stats=None,

@@ -21,11 +21,11 @@ from skigrid.interp import (
     BaseRule,
     UniformLattice,
     WeightMatrix,
-    _grid_components,
     assemble_W,
     combination_components,
     interpolate,
     interpolate_direct,
+    interpolator,
     rule_density,
     subsampled_components,
 )
@@ -406,7 +406,7 @@ class TestAssembleW:
             np.testing.assert_allclose(
                 W.apply(f(lat.points())), f(lat.points()), atol=1e-12
             )
-            assert W.method == "rect"
+            assert "method=rect" in repr(W)
 
     def test_density_bound_holds(self):
         rng = np.random.default_rng(37)
@@ -414,7 +414,7 @@ class TestAssembleW:
         g = build_sparse_grid(4, 6)
         W = assemble_W(X, g)
         assert W.max_row_nnz <= W.density_bound
-        assert W.n_grids == len(combination_components(4, 6))
+        assert W.tables.n_grids == len(combination_components(4, 6))
 
     def test_validation(self):
         g = build_sparse_grid(2, 2)
@@ -448,7 +448,7 @@ class TestAssembleW:
         # rows are merged block by block; W must not depend on where a
         # block ends
         g = build_sparse_grid(4, 6)
-        B = _grid_components(4, 6, "combination").block_rows(kind)
+        B = interpolator(g, BaseRule(kind)).block_rows()
         X = np.random.default_rng(59).uniform(-0.1, 1.1, (B + 1, 6))
         rows = [assemble_W(X[i : i + 1], g, BaseRule(kind)).matrix
                 for i in range(B + 1)]
@@ -462,11 +462,11 @@ class TestAssembleW:
     def test_simplicial_walks_multi_point_axes_only(self):
         # a component with k multi-point axes takes k + 1 slots of a row:
         # 714 at G(4, 6), where a walk over all d axes takes C(d + 1) = 1470
-        comps = _grid_components(4, 6, "combination")
+        comps = interpolator(build_sparse_grid(4, 6), BaseRule("simplicial"))
         k = (comps.counts > 1).sum(axis=1)
-        assert comps.row_entries["simplicial"] == (k + 1).sum() == 714
+        assert comps.row_entries == (k + 1).sum() == 714
         slots = []
-        for p in comps.passes["simplicial"]:
+        for p in comps.passes:
             assert (p.counts > 1).all()
             per_comp = p.slots.reshape(len(p.bases), -1)
             assert per_comp.shape[1] == p.axes.shape[1] + 1
@@ -479,10 +479,10 @@ class TestAssembleW:
     def test_block_rows_hold_each_column_once(self, kind):
         # the Kuhn walk and the linear stencil reach distinct points of one
         # component, and components are disjoint: nothing is left to merge
-        comps = _grid_components(4, 6, "combination")
+        comps = interpolator(build_sparse_grid(4, 6), BaseRule(kind))
         X = np.random.default_rng(67).uniform(-0.1, 1.1, (60, 6))
         X[:20] = np.round(X[:20] * 8) / 8  # on lattice lines, with ties
-        flat, _ = comps.block(X, kind)
+        flat, _ = comps.block(X)
         cols = np.sort(comps.columns[flat], axis=1)
         assert (np.diff(cols, axis=1) > 0).all()
 
@@ -509,10 +509,11 @@ class TestAssembleW:
     def test_density_check_raises(self):
         # a 2-d simplicial row on one grid has at most 3 entries
         dense_row = scipy.sparse.csr_matrix(np.ones((1, 4)))
+        lattice = interpolator(UniformLattice.unit(2, 2), BaseRule("simplicial"))
         with pytest.raises(RuntimeError, match="4 entries.*at most 3"):
-            WeightMatrix([dense_row], BaseRule("simplicial"), "rect", 1, 2)
+            WeightMatrix([dense_row], lattice)
         with pytest.raises(TypeError, match="list of CSR row parts"):
-            WeightMatrix(dense_row, BaseRule("simplicial"), "rect", 1, 2)
+            WeightMatrix(dense_row, lattice)
 
 
 def assert_matches_W_route(X, grid, values, kind, method="combination"):
@@ -542,7 +543,7 @@ class TestInterpolate:
     @pytest.mark.parametrize("kind", interp.RULE_KINDS)
     def test_sizes_at_block_edges(self, kind):
         g = build_sparse_grid(4, 6)
-        B = _grid_components(4, 6, "combination").block_rows(kind)
+        B = interpolator(g, BaseRule(kind)).block_rows()
         rng = np.random.default_rng(89)
         X = rng.uniform(-0.1, 1.1, (B + 1, 6))
         values = rng.uniform(size=g.size)
@@ -591,10 +592,11 @@ class TestInterpolate:
 
 def weight_matrix(*blocks):
     """A WeightMatrix around consecutive row blocks of any small matrix, cut
-    as assemble_W cuts its blocks; its density bound is loose."""
+    as assemble_W cuts its blocks; its density bound, 4^2 = 16 entries a
+    row for the cubic rule on a 2-d lattice, is loose."""
     return WeightMatrix(
         interp._row_parts([scipy.sparse.csr_matrix(b) for b in blocks]),
-        BaseRule("simplicial"), "combination", blocks[0].shape[1] + 1, 1)
+        interpolator(UniformLattice.unit(2, 3), BaseRule("cubic")))
 
 
 def part_bounds(W):
@@ -667,7 +669,7 @@ class TestRowShards:
     def test_parts_cut_at_equal_nnz_and_join_to_one_part(self, count,
                                                          any_size, monkeypatch):
         # blocks of 7 rows, so bounds fall inside blocks
-        entries = _grid_components(4, 4, "combination").row_entries["simplicial"]
+        entries = interpolator(build_sparse_grid(4, 4)).row_entries
         monkeypatch.setattr(interp, "BLOCK_BYTES", 8 * entries * 7)
         rng = np.random.default_rng(101)
         X = rng.uniform(0, 1, (100, 4))
@@ -899,7 +901,7 @@ class TestHierarchical:
     @pytest.mark.parametrize("ell,d", [(0, 1), (3, 1), (4, 2), (3, 3), (2, 3)])
     def test_H_matches_the_dict_built_reference(self, ell, d):
         g = build_sparse_grid(ell, d)
-        H = _grid_components(ell, d, "hierarchical").H
+        H = interpolator(g, method="hierarchical").H
         assert abs(H - reference_surplus_matrix(g)).max() == 0
 
     def test_rows_hold_one_hat_per_subspace(self):
@@ -908,15 +910,26 @@ class TestHierarchical:
         g = build_sparse_grid(4, 6)
         X = np.random.default_rng(103).uniform(-0.2, 1.2, (300, 6))
         W = assemble_W(X, g, method="hierarchical")
-        assert W.n_grids == math.comb(4 + 6, 6) == 210
+        assert W.tables.n_grids == math.comb(4 + 6, 6) == 210
         assert W.nnz == 300 * 210 and W.max_row_nnz == W.density_bound == 210
         for p in W.parts:
             assert (np.diff(p.indices.reshape(-1, 210), axis=1) > 0).all()
         cubic = assemble_W(X, g, BaseRule("cubic"), method="hierarchical")
         np.testing.assert_array_equal(cubic.matrix.toarray(),
                                       W.matrix.toarray())
-        H = W.surpluses
+        H = W.tables.H
         assert H.nnz / g.size == pytest.approx(8.12, abs=0.01)
+
+    def test_density_error_and_repr_name_the_method(self):
+        # the rule is not consulted, so neither message names it
+        tables = interpolator(build_sparse_grid(2, 2), BaseRule("cubic"),
+                              method="hierarchical")
+        W = tables.weights(np.full((1, 2), 0.3))
+        assert repr(W) == "WeightMatrix(1x17, method=hierarchical, nnz=6)"
+        dense_row = scipy.sparse.csr_matrix(np.ones((1, 17)))
+        with pytest.raises(RuntimeError, match="17 entries; method=hierarchical "
+                                               "over 6 grids allows at most 6"):
+            WeightMatrix([dense_row], tables)
 
     @pytest.mark.parametrize("ell,d", [(0, 2), (3, 1), (4, 4), (4, 6), (3, 8)])
     def test_constants_reproduced(self, ell, d):
@@ -965,7 +978,7 @@ class TestHierarchical:
 
     def test_block_edges_match_one_row_calls(self):
         g = build_sparse_grid(4, 6)
-        B = _grid_components(4, 6, "hierarchical").block_rows()
+        B = interpolator(g, method="hierarchical").block_rows()
         X = np.random.default_rng(131).uniform(-0.1, 1.1, (B + 1, 6))
         rows = [assemble_W(X[i : i + 1], g, method="hierarchical").matrix
                 for i in range(B + 1)]

@@ -12,7 +12,14 @@ import scipy.sparse
 
 from skigrid import interp, ski
 from skigrid.grids import build_sparse_grid
-from skigrid.interp import BaseRule, WeightMatrix, assemble_W
+from skigrid.interp import (
+    BaseRule,
+    UniformLattice,
+    WeightMatrix,
+    assemble_W,
+    interpolate,
+    interpolator,
+)
 from skigrid.kernels import ProductKernel
 from skigrid.sgmvm import build_plan, sg_mvm, sg_mvm_batched
 from skigrid.ski import (
@@ -116,7 +123,7 @@ class TestSkiOperator:
     def test_zero_weight_rows_leave_noise_only(self):
         # all-zero W: the operator degenerates to sigma^2 I
         empty = scipy.sparse.csr_matrix((4, 17))
-        W = WeightMatrix([empty], BaseRule("simplicial"), "rect", 1, 2)
+        W = WeightMatrix([empty], interpolator(UniformLattice.unit(2, 2)))
         op = SkiOperator(W, lambda v: v, sigma2=1.0)
         v = np.arange(4.0)
         np.testing.assert_array_equal(op.matvec(v), v)
@@ -155,7 +162,7 @@ class TestSkiOperator:
 
     def test_negative_sigma_rejected(self):
         empty = scipy.sparse.csr_matrix((2, 3))
-        W = WeightMatrix([empty], BaseRule("simplicial"), "rect", 1, 1)
+        W = WeightMatrix([empty], interpolator(UniformLattice.unit(1, 2)))
         with pytest.raises(ValueError):
             SkiOperator(W, lambda v: v, sigma2=-0.1)
 
@@ -618,22 +625,58 @@ class TestFitPredict:
                                       model.predict_mean(Xs))
 
     def test_combination_model_file_predicts_as_saved(self):
-        # written with "method": "combination" by the release before
-        # hierarchical interpolation became the default, together with the
-        # predictions it then gave at 12 points inside and around the box
-        # and 3 training points
-        path = Path(__file__).parent / "data" / "model_combination.json"
-        expected = json.loads(path.read_text())["expected"]
-
+        # model_combination.json was written with "method": "combination"
+        # by the release before hierarchical interpolation became the
+        # default, and model_hierarchical.json (d = 3) by the release before
+        # models held their interpolator; each holds the predictions it then
+        # gave at 12 points inside and around the box and 3 training points
         def unpack(s):
             return np.frombuffer(base64.b64decode(s), dtype=np.float64)
 
-        model = load_model(path)
-        assert (model.config.method, model.config.rule) == ("combination",
-                                                            "simplicial")
-        X = unpack(expected["X"]).reshape(expected["shape"])
-        np.testing.assert_array_equal(model.predict_mean(X),
-                                      unpack(expected["mean"]), strict=True)
+        for name, method in (("model_combination.json", "combination"),
+                             ("model_hierarchical.json", "hierarchical")):
+            path = Path(__file__).parent / "data" / name
+            expected = json.loads(path.read_text())["expected"]
+            model = load_model(path)
+            assert (model.config.method, model.config.rule) == (method,
+                                                                "simplicial")
+            X = unpack(expected["X"]).reshape(expected["shape"])
+            np.testing.assert_array_equal(model.predict_mean(X),
+                                          unpack(expected["mean"]), strict=True)
+
+    def test_requests_reuse_the_interpolator_built_with_the_model(
+            self, tmp_path, monkeypatch):
+        # fit and load_model build the interpolator and the surpluses in
+        # table order; a request neither looks up tables nor forms H @ values
+        rng = np.random.default_rng(83)
+        X = rng.uniform(0, 1, (200, 3))
+        fitted = fit(quick_cfg(3), X, np.sin(X.sum(axis=1)))
+        assert fitted.config.method == "hierarchical"
+        path = tmp_path / "model.json"
+        fitted.save(path)
+        loaded = load_model(path)
+        cfg = fitted.config
+        batches = [rng.uniform(-0.2, 1.2, (m, 3)) for m in (1, 17, 2600)]
+        want = [interpolate(fitted.domain_map.forward(Xs), fitted.grid,
+                            fitted.grid_dual, BaseRule(cfg.rule),
+                            method=cfg.method) for Xs in batches]
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(interp, "_grid_components",
+                            counted(interp._grid_components))
+        monkeypatch.setattr(interp._Hierarchy, "table_values",
+                            counted(interp._Hierarchy.table_values))
+        for model in (fitted, loaded):
+            for Xs, mean in zip(batches, want):
+                np.testing.assert_array_equal(model.predict_mean(Xs), mean,
+                                              strict=True)
+        assert calls == []
 
     def test_hierarchical_is_the_default_and_round_trips(self, tmp_path):
         rng = np.random.default_rng(79)
