@@ -27,7 +27,8 @@ ell-1.  A UniformLattice takes the base rule alone and ignores the method.
 interpolator(grid, rule, method) checks its arguments once and returns the
 tables bound to that one setting; assemble_W and interpolate are calls on
 it, and a GpModel holds one.  The tables of a sparse grid are built once
-per (resolution, dim, method, rule) in a process.  For the combination
+in a process per (resolution, dim, method), and per rule for the
+combination methods; hierarchical has no rule.  For the combination
 methods the component lattices are stacked into (C, d) tables of counts,
 spacings, offsets and row-major strides, with (C,) coefficients and one
 table concatenating every component's rect_injection; a corner's column is
@@ -58,18 +59,12 @@ Out-of-hull queries are handled by clamping the cell index and local
 coordinate, which keeps rows a partition of unity; level-0 (single-point)
 dimensions carry all their weight on the lone coordinate.
 
-assemble_W cuts a W (Phi, for hierarchical) of at least SHARD_MIN_NNZ
-non-zeros into row parts of about equal nnz, one per CPU the process may
-run on, as it joins its row blocks.  The parts are applied at the same time
-on a thread pool with scipy's public products, whose kernels release the
-interpreter lock: W v is bit-identical to the single product; W^T u sums
-one partial per part in part order.
+W (Phi, for hierarchical) is held as one CSR matrix, the row blocks
+joined once, and applied on the calling thread with scipy's products, so
+W v and W^T u are the single products whatever the CPU count.
 """
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -85,22 +80,6 @@ METHODS = ("hierarchical", "combination", "subsampled")
 # Byte budget of one row block's (rows, entries) work arrays; assembly holds
 # a few of them at a time besides the merged rows.
 BLOCK_BYTES = 2 << 20
-
-# Smallest W cut into row parts.  Handing a part to a pool thread and
-# waiting for it costs 40-50 us (2-vCPU x86 VM, 1 BLAS thread, best of 300),
-# so two parts break even between 130k and 200k non-zeros (d=6, l=4: 256
-# to 384 rows) and save 25-35% at 2**18 (W v 0.24 -> 0.16-0.18 ms) and 1.5x
-# at 520k; scipy's public products add 30-50 us to a two-part W v.
-# Requests build no W (see interpolate); at d=6, l=4 a W of about 515 rows
-# or more (~509 non-zeros a row) is cut.
-SHARD_MIN_NNZ = 1 << 18
-
-# Largest array one product of a part allocates.  A pool thread keeps the
-# pages it frees in its own malloc arena, so its largest product stays in
-# the process's peak RSS (+5 MB over a whole n=20000, d=4 fit when the
-# sketch's 64-column blocks were formed at once); blocks are applied in
-# runs of columns under this size.
-PRODUCT_BYTES = 1 << 20
 
 
 def rule_density(kind, dim):
@@ -395,15 +374,14 @@ class _Tables:
 
         Rows go through in blocks of block_rows(); each block's rows have
         their duplicates merged in component-then-corner order
-        (hierarchical rows have none) and the blocks' CSR arrays are
-        concatenated into W's row parts (see _row_parts), so W does not
-        depend on the block size.
+        (hierarchical rows have none) and the blocks are stacked into one
+        CSR matrix, so W does not depend on the block size.
         """
         X = self._points(X)
         step = self.block_rows()
         blocks = [self.rows(X[start : start + step])
                   for start in range(0, max(len(X), 1), step)]
-        return WeightMatrix(_row_parts(blocks), self)
+        return WeightMatrix(scipy.sparse.vstack(blocks, format="csr"), self)
 
     def table_values(self, values):
         """Grid values (size,) in table order, what evaluated()'s indices
@@ -642,10 +620,11 @@ class _Hierarchy(_Tables):
 @lru_cache(maxsize=None)
 def _grid_components(resolution, dim, method, kind):
     """The tables of G(resolution, dim) under ``method``, bound to base
-    rule ``kind``, which hierarchical ignores.  Built once in a process, so
-    that a fit's W, the model it returns and a model loaded in the same
-    process share one build (2-3, 5-8 and 13-18 ms at d = 4, 6 and 8,
-    l = 4, hierarchical, on a 2-vCPU x86 VM)."""
+    rule ``kind`` (None for hierarchical, which has no rule, so that every
+    rule shares its tables).  Built once in a process, so that a fit's W,
+    the model it returns and a model loaded in the same process share one
+    build (2-3, 5-8 and 13-18 ms at d = 4, 6 and 8, l = 4, hierarchical,
+    on a 2-vCPU x86 VM)."""
     if method == "hierarchical":
         return _Hierarchy(resolution, dim)
     comps = _components(resolution, dim, method)
@@ -677,42 +656,37 @@ def interpolator(grid, rule=BaseRule(), method="combination"):
     if not isinstance(grid, SparseGrid):
         raise TypeError(f"grid must be SparseGrid or UniformLattice, "
                         f"got {type(grid).__name__}")
-    return _grid_components(grid.resolution, grid.dim, method, rule.kind)
+    kind = None if method == "hierarchical" else rule.kind
+    return _grid_components(grid.resolution, grid.dim, method, kind)
 
 
 # ---- weight-matrix assembly --------------------------------------------------
 
 
 class WeightMatrix:
-    """Row-sparse n x m interpolation matrix over a fixed grid, held as
-    consecutive CSR row parts with duplicates summed and zeros dropped.
+    """Row-sparse n x m interpolation matrix over a fixed grid, held as one
+    CSR matrix ``phi`` with duplicates summed and zeros dropped, and
+    applied on the calling thread.
 
-    ``parts`` come from _row_parts: one part, or shard_count() parts of
-    about equal nnz for a W of at least SHARD_MIN_NNZ non-zeros.  apply and
-    apply_transpose run the first part on the calling thread and the others
-    on the shard pool, at the same time.
-
-    ``tables`` are the interpolator that made the parts: its ``row_bound``
-    is W's density bound, and its ``setting`` names W's rule and method.
-    When its H (hierarchical) is set, the parts hold Phi, one entry per
-    subspace (zeros kept), and W = Phi H: apply is Phi (H v) and
-    apply_transpose H^T (Phi^T u).  ``nnz`` and ``max_row_nnz`` count
-    Phi's entries.
+    ``tables`` are the interpolator that made it: its ``row_bound`` is W's
+    density bound, and its ``setting`` names W's rule and method.  When its
+    H (hierarchical) is set, ``phi`` holds Phi, one entry per subspace
+    (zeros kept), and W = Phi H: apply is Phi (H v) and apply_transpose
+    H^T (Phi^T u).  ``nnz`` and ``max_row_nnz`` count Phi's entries.
     """
 
-    def __init__(self, parts, tables):
-        if scipy.sparse.issparse(parts):  # iterating it would yield its rows
-            raise TypeError("parts must be a list of CSR row parts")
-        self.parts = parts
+    def __init__(self, matrix, tables):
+        if not scipy.sparse.issparse(matrix):
+            raise TypeError(f"matrix must be a sparse matrix, got "
+                            f"{type(matrix).__name__}")
+        self.phi = matrix.tocsr()
+        # a CSC view of the same arrays, made once: making it costs 30-80 us
+        # a call (2-vCPU x86 VM)
+        self._phi_t = self.phi.T
         self.tables = tables
-        # W^T's parts are CSC views of the same arrays
-        self._transposes = [p.T for p in parts]
-        ends = np.cumsum([p.shape[0] for p in parts]).tolist()
-        self._rows = [slice(a, b) for a, b in zip([0, *ends], ends)]
-        self.shape = (ends[-1], parts[0].shape[1])
-        self.nnz = sum(p.nnz for p in parts)
-        self.max_row_nnz = max(int(np.diff(p.indptr).max(initial=0))
-                               for p in parts)
+        self.shape = self.phi.shape
+        self.nnz = self.phi.nnz
+        self.max_row_nnz = int(np.diff(self.phi.indptr).max(initial=0))
         self.density_bound = tables.row_bound
         if self.max_row_nnz > self.density_bound:
             raise RuntimeError(
@@ -722,134 +696,29 @@ class WeightMatrix:
 
     @property
     def matrix(self):
-        """W as one CSR matrix (a copy when W has more than one part or
-        surpluses)."""
-        phi = (self.parts[0] if len(self.parts) == 1
-               else scipy.sparse.vstack(self.parts, format="csr"))
-        return phi if self.tables.H is None else (phi @ self.tables.H).tocsr()
+        """W as one CSR matrix: ``phi``, or the product Phi H (a new
+        matrix) when the tables have H."""
+        H = self.tables.H
+        return self.phi if H is None else (self.phi @ H).tocsr()
 
     def apply(self, v):
-        """W @ v for v of shape (m,) or (m, r); costs O(nnz).
-
-        Each part writes its rows of the output with scipy's product, so
-        the result is bit-identical to ``matrix @ v`` (to ``Phi @ (H @ v)``
-        with surpluses).
-        """
+        """W @ v for v of shape (m,) or (m, r); costs O(nnz).  The single
+        product ``matrix @ v`` (``Phi @ (H @ v)`` with surpluses)."""
         v = np.asarray(v)
-        x = v.reshape(len(v), math.prod(v.shape[1:]))
         if self.tables.H is not None:
-            x = self.tables.H @ x
-        out = np.empty((self.shape[0], x.shape[1]),
-                       np.result_type(self.parts[0].dtype, x.dtype))
-        _each(lambda k: _columns(self.parts[k], x, out[self._rows[k]]),
-              range(len(self.parts)))
-        return out.reshape(self.shape[:1] + v.shape[1:])
+            v = self.tables.H @ v
+        return self.phi @ v
 
     def apply_transpose(self, u):
         """W^T @ u for u of shape (n,) or (n, r); exact adjoint of apply.
-
-        Each part computes a grid-sized partial from its rows of u and the
-        partials are summed in part order: deterministic for a given part
-        count, and within roundoff of ``matrix.T @ u``.
-        """
-        u = np.asarray(u)
-        if u.shape[:1] != self.shape[:1]:
-            raise ValueError(f"u has shape {u.shape}; W has {self.shape[0]} rows")
-        # so that no pool thread copies its rows of u
-        u = np.ascontiguousarray(u)
-        partials = _each(lambda k: self._transposes[k] @ u[self._rows[k]],
-                         range(len(self.parts)))
-        out = partials[0]
-        for partial in partials[1:]:
-            out += partial
+        The single product ``matrix.T @ u`` (``H^T @ (Phi^T @ u)`` with
+        surpluses)."""
+        out = self._phi_t @ np.asarray(u)
         return out if self.tables.H is None else self.tables.H.T @ out
 
     def __repr__(self):
         n, m = self.shape
         return f"WeightMatrix({n}x{m}, {self.tables.setting}, nnz={self.nnz})"
-
-
-def shard_count():
-    """Row parts of a W at or above SHARD_MIN_NNZ: the CPUs this process
-    may run on (a process pinned to one CPU gets one part)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _shard_pool():
-    """The process's shard thread pool, created on first use with one
-    worker fewer than shard_count(); the caller runs the first part."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(1, shard_count() - 1),
-                                       thread_name_prefix="skigrid-W")
-        return _pool
-
-
-def _forget_pool():
-    # a forked child has the pool object but none of its threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _columns(part, x, out):
-    """out[:] = part @ x for a block x, in runs of columns that keep each
-    product, and the copy scipy makes of a run of x, under PRODUCT_BYTES."""
-    step = max(1, PRODUCT_BYTES // (8 * max(part.shape)))
-    for j in range(0, x.shape[1], step):
-        out[:, j : j + step] = part @ x[:, j : j + step]
-
-
-def _each(fn, items):
-    """[fn(x) for x in items]: the first on the calling thread and the
-    others on the shard pool, so a single item never touches the pool;
-    returns once all have finished."""
-    futures = [_shard_pool().submit(fn, x) for x in items[1:]]
-    try:
-        first = fn(items[0])
-    finally:
-        wait(futures)
-    return [first, *(f.result() for f in futures)]
-
-
-def _row_parts(blocks):
-    """Consecutive CSR row blocks as one CSR matrix per part.
-
-    A W of at least SHARD_MIN_NNZ non-zeros has shard_count() parts, part
-    k ending at the first row where W's indptr reaches (k + 1) * nnz //
-    count; otherwise one part.  A part concatenates its rows of the blocks,
-    so the parts together copy the blocks once.  (A part made of views of
-    one concatenation would be copied again: scipy copies an array that is
-    a view of a much larger one.)
-    """
-    indptr = np.zeros(sum(b.shape[0] for b in blocks) + 1, dtype=np.int64)
-    np.cumsum(np.concatenate([np.diff(b.indptr) for b in blocks]), out=indptr[1:])
-    nnz = int(indptr[-1])
-    count = shard_count() if nnz >= SHARD_MIN_NNZ else 1
-    targets = [k * nnz // count for k in range(1, count)]
-    bounds = [0, *np.searchsorted(indptr, targets).tolist(), len(indptr) - 1]
-    starts = np.cumsum([0] + [b.shape[0] for b in blocks])
-    parts = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        # each block's entries in rows lo:hi
-        runs = [(b, *b.indptr[np.clip([lo - s, hi - s], 0, b.shape[0])])
-                for b, s in zip(blocks, starts)]
-        parts.append(scipy.sparse.csr_matrix(
-            (np.concatenate([b.data[p:q] for b, p, q in runs]),
-             np.concatenate([b.indices[p:q] for b, p, q in runs]),
-             indptr[lo : hi + 1] - indptr[lo]),
-            shape=(hi - lo, blocks[0].shape[1])))
-    return parts
 
 
 def _merged_rows(cols, vals, size):

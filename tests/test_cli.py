@@ -235,18 +235,6 @@ class TestGpFitPredict:
         assert payload["cli"]["config"]["grid"] == "sparse"
         assert payload["cli"]["metadata"]["noise_interpretation"] == "std"
 
-    def test_model_file_records_w_apply_shards(self, runner, tmp_path,
-                                               monkeypatch):
-        # W^T's sums are split per row shard, so the file says how many
-        monkeypatch.setattr(bench, "shard_count", lambda: 3)
-        train = tmp_path / "train.csv"
-        make_train_csv(train, n=40, d=2, seed=3)
-        model = tmp_path / "model.json"
-        res = runner.invoke(main, self.fit_args(train, model, resolution=3))
-        assert res.exit_code == 0
-        payload = json.loads(model.read_text())
-        assert payload["cli"]["metadata"]["w_apply_shards"] == 3
-
     def test_malformed_csv_exit_1_with_line_number(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,target\n0.1,0.2,1.0\n0.3,oops,2.0\n")

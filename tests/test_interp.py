@@ -2,12 +2,9 @@
 
 import itertools
 import math
-import multiprocessing
-import subprocess
 import sys
 import threading
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -511,9 +508,9 @@ class TestAssembleW:
         dense_row = scipy.sparse.csr_matrix(np.ones((1, 4)))
         lattice = interpolator(UniformLattice.unit(2, 2), BaseRule("simplicial"))
         with pytest.raises(RuntimeError, match="4 entries.*at most 3"):
-            WeightMatrix([dense_row], lattice)
-        with pytest.raises(TypeError, match="list of CSR row parts"):
             WeightMatrix(dense_row, lattice)
+        with pytest.raises(TypeError, match="must be a sparse matrix"):
+            WeightMatrix([dense_row], lattice)
 
 
 def assert_matches_W_route(X, grid, values, kind, method="combination"):
@@ -590,112 +587,31 @@ class TestInterpolate:
             interpolate(X, "grid", values)
 
 
-def weight_matrix(*blocks):
-    """A WeightMatrix around consecutive row blocks of any small matrix, cut
-    as assemble_W cuts its blocks; its density bound, 4^2 = 16 entries a
-    row for the cubic rule on a 2-d lattice, is loose."""
-    return WeightMatrix(
-        interp._row_parts([scipy.sparse.csr_matrix(b) for b in blocks]),
-        interpolator(UniformLattice.unit(2, 3), BaseRule("cubic")))
-
-
-def part_bounds(W):
-    ends = np.cumsum([p.shape[0] for p in W.parts]).tolist()
-    return list(zip([0, *ends], ends))
-
-
 def assert_matches_csr(W, rng):
-    """apply and apply_transpose on 1-D, one-column and 5-column inputs:
-    W v bit-identical to scipy's CSR product, W^T u within 1e-13."""
+    """apply and apply_transpose on 1-D, one-column and 5-column inputs,
+    bit-identical to scipy's CSR products with W.matrix and its transpose."""
     n, m = W.shape
     for tail in ((), (1,), (5,)):
         v = rng.standard_normal((m,) + tail)
         np.testing.assert_array_equal(W.apply(v), W.matrix @ v, strict=True)
         u = rng.standard_normal((n,) + tail)
-        got, want = W.apply_transpose(u), W.matrix.T @ u
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        np.testing.assert_array_equal(W.apply_transpose(u), W.matrix.T @ u,
+                                      strict=True)
 
 
-@pytest.fixture
-def two_shards(monkeypatch):
-    monkeypatch.setattr(interp, "shard_count", lambda: 2)
-
-
-@pytest.fixture
-def any_size(monkeypatch):
-    monkeypatch.setattr(interp, "SHARD_MIN_NNZ", 0)
-
-
-class TestRowShards:
-    def test_threshold(self, two_shards):
-        # the first rows of a d=6, l=4 W, cut just below and just above
+class TestWeightMatrixApply:
+    def test_matches_csr(self):
         rng = np.random.default_rng(61)
-        X = rng.uniform(0, 1, (700, 6))
-        g = build_sparse_grid(4, 6)
-        k = int(np.searchsorted(assemble_W(X, g).matrix.indptr,
-                                interp.SHARD_MIN_NNZ))
-        below, above = (assemble_W(X[:rows], g) for rows in (k - 1, k))
-        assert below.nnz < interp.SHARD_MIN_NNZ <= above.nnz
-        assert len(below.parts) == 1 and len(above.parts) == 2
-        assert_matches_csr(below, rng)
-        assert_matches_csr(above, rng)
-
-    @pytest.mark.parametrize("shards", [2, 3, 4, 16])
-    def test_empty_rows_at_shard_edges(self, shards, any_size, monkeypatch):
-        # rows 0, 4-7 and 11 are empty: two parts cut at row 4, so the
-        # second starts on four empty rows, and 16 parts over 12 rows leave
-        # parts with no rows at all
-        monkeypatch.setattr(interp, "shard_count", lambda: shards)
-        rng = np.random.default_rng(67)
-        dense = np.zeros((12, 9))
-        for i in (1, 2, 3, 8, 9, 10):
-            dense[i, rng.choice(9, 3, replace=False)] = rng.standard_normal(3)
-        W = weight_matrix(dense)
-        bounds = part_bounds(W)
-        assert len(bounds) == shards and bounds[-1][1] == 12
-        if shards == 2:
-            assert bounds == [(0, 4), (4, 12)]
+        W = assemble_W(rng.uniform(0, 1, (700, 6)), build_sparse_grid(4, 6))
         assert_matches_csr(W, rng)
-        # the same rows in blocks that the bounds split give the same parts
-        split = weight_matrix(dense[:3], dense[3:5], dense[5:11], dense[11:])
-        assert part_bounds(split) == bounds
-        for a, b in zip(split.parts, W.parts):
-            for name in ("indptr", "indices", "data"):
-                np.testing.assert_array_equal(getattr(a, name),
-                                              getattr(b, name), strict=True)
-
-    @pytest.mark.parametrize("count", [2, 3])
-    def test_parts_cut_at_equal_nnz_and_join_to_one_part(self, count,
-                                                         any_size, monkeypatch):
-        # blocks of 7 rows, so bounds fall inside blocks
-        entries = interpolator(build_sparse_grid(4, 4)).row_entries
-        monkeypatch.setattr(interp, "BLOCK_BYTES", 8 * entries * 7)
-        rng = np.random.default_rng(101)
-        X = rng.uniform(0, 1, (100, 4))
-        g = build_sparse_grid(4, 4)
-        monkeypatch.setattr(interp, "shard_count", lambda: 1)
-        one = assemble_W(X, g)
-        monkeypatch.setattr(interp, "shard_count", lambda: count)
-        W = assemble_W(X, g)
-        assert len(one.parts) == 1 and W.nnz == one.nnz
-        indptr = one.matrix.indptr
-        cuts = np.searchsorted(indptr, [k * W.nnz // count
-                                        for k in range(1, count)]).tolist()
-        ends = [*cuts, len(X)]
-        assert part_bounds(W) == list(zip([0, *cuts], ends))
-        for name in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(W.matrix, name),
-                                          getattr(one.matrix, name), strict=True)
 
     @pytest.mark.parametrize("n", [0, 1])
-    def test_no_rows_and_one_row(self, n, two_shards, any_size):
+    def test_no_rows_and_one_row(self, n):
         rng = np.random.default_rng(71)
         W = assemble_W(rng.uniform(0, 1, (n, 3)), build_sparse_grid(3, 3))
-        assert len(W.parts) == 2
         assert_matches_csr(W, rng)
 
-    def test_other_dtypes_strides_and_shapes(self, two_shards, any_size):
+    def test_other_dtypes_strides_and_shapes(self):
         rng = np.random.default_rng(73)
         W = assemble_W(rng.uniform(0, 1, (40, 3)), build_sparse_grid(3, 3))
         v = rng.standard_normal(W.shape[1])
@@ -703,51 +619,15 @@ class TestRowShards:
         for w in (v.astype(np.float32), v.tolist(), v[::-1]):
             np.testing.assert_array_equal(W.apply(w), W.matrix @ w)
         for w in (u.astype(np.float32), u.tolist(), u[::-1]):
-            np.testing.assert_allclose(W.apply_transpose(w), W.matrix.T @ w,
-                                       rtol=1e-6)
+            np.testing.assert_array_equal(W.apply_transpose(w), W.matrix.T @ w)
         with pytest.raises(ValueError):
             W.apply(v[:-1])
         with pytest.raises(ValueError):
             W.apply_transpose(u[:-1])
 
-    def test_blocks_in_column_runs(self, two_shards, any_size, monkeypatch):
-        # each part forms W V two columns at a time, bit for bit
-        rng = np.random.default_rng(77)
-        W = assemble_W(rng.uniform(0, 1, (60, 3)), build_sparse_grid(3, 3))
-        monkeypatch.setattr(interp, "PRODUCT_BYTES", 16 * max(W.shape))
-        V = rng.standard_normal((W.shape[1], 6))
-        np.testing.assert_array_equal(W.apply(V), W.matrix @ V, strict=True)
-
-    def test_one_cpu_is_the_plain_product(self, monkeypatch):
-        # one part, no pool: the single CSR product, bit for bit
-        def no_pool():
-            raise AssertionError("the shard pool was used")
-        monkeypatch.setattr(interp, "shard_count", lambda: 1)
-        monkeypatch.setattr(interp, "_shard_pool", no_pool)
-        rng = np.random.default_rng(79)
-        W = assemble_W(rng.uniform(0, 1, (700, 6)), build_sparse_grid(4, 6))
-        assert W.nnz >= interp.SHARD_MIN_NNZ and len(W.parts) == 1
-        for tail in ((), (1,), (5,)):
-            v = rng.standard_normal((W.shape[1],) + tail)
-            np.testing.assert_array_equal(W.apply(v), W.matrix @ v, strict=True)
-            u = rng.standard_normal((W.shape[0],) + tail)
-            np.testing.assert_array_equal(W.apply_transpose(u),
-                                          W.matrix.T @ u, strict=True)
-
-    def test_transpose_sums_in_shard_order(self, any_size, monkeypatch):
-        # same part count, same bits; the summation order is the parts'
-        monkeypatch.setattr(interp, "shard_count", lambda: 3)
-        rng = np.random.default_rng(83)
-        W = assemble_W(rng.uniform(0, 1, (500, 4)), build_sparse_grid(4, 4))
-        u = rng.standard_normal(W.shape[0])
-        want = sum(W.matrix[lo:hi].T @ u[lo:hi] for lo, hi in part_bounds(W))
-        for _ in range(5):
-            np.testing.assert_array_equal(W.apply_transpose(u), want)
-
-    def test_concurrent_callers(self, any_size, monkeypatch):
-        # more calling threads than cores share the pool; no call may see
+    def test_concurrent_callers(self):
+        # more calling threads than cores share one W; no call may see
         # another's output
-        monkeypatch.setattr(interp, "shard_count", lambda: 3)
         rng = np.random.default_rng(89)
         W = assemble_W(rng.uniform(0, 1, (300, 4)), build_sparse_grid(4, 4))
         v = rng.standard_normal((W.shape[1], 2))
@@ -776,45 +656,6 @@ class TestRowShards:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert failures == []
-
-    def test_pool_starts_on_first_sharded_apply(self):
-        # importing starts no thread; three parts start at most two pool
-        # workers (the pool adds one per submit while none is idle)
-        code = (
-            "import threading\n"
-            "import numpy as np\n"
-            "import skigrid\n"
-            "from skigrid import interp\n"
-            "assert threading.active_count() == 1\n"
-            "interp.shard_count = lambda: 3\n"
-            "interp.SHARD_MIN_NNZ = 0\n"
-            "W = interp.assemble_W(np.full((30, 2), 0.3),"
-            " skigrid.build_sparse_grid(3, 2))\n"
-            "W.apply_transpose(np.ones(30))\n"
-            "assert 1 < threading.active_count() <= 3\n")
-        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
-
-    def test_forked_child_starts_its_own_pool(self, two_shards, any_size):
-        # a forked child inherits the pool object but not its threads
-        rng = np.random.default_rng(97)
-        W = assemble_W(rng.uniform(0, 1, (100, 3)), build_sparse_grid(3, 3))
-        u = rng.standard_normal(W.shape[0])
-        want = W.apply_transpose(u)
-
-        def child():
-            if not np.array_equal(W.apply_transpose(u), want):
-                raise SystemExit(1)
-
-        proc = multiprocessing.get_context("fork").Process(target=child)
-        with warnings.catch_warnings():
-            # newer Pythons warn when a process with threads forks
-            warnings.simplefilter("ignore", DeprecationWarning)
-            proc.start()
-        proc.join(timeout=60)
-        if proc.is_alive():
-            proc.kill()
-            proc.join()
-        assert proc.exitcode == 0
 
 
 class TestConvergence:
@@ -912,13 +753,18 @@ class TestHierarchical:
         W = assemble_W(X, g, method="hierarchical")
         assert W.tables.n_grids == math.comb(4 + 6, 6) == 210
         assert W.nnz == 300 * 210 and W.max_row_nnz == W.density_bound == 210
-        for p in W.parts:
-            assert (np.diff(p.indices.reshape(-1, 210), axis=1) > 0).all()
+        assert (np.diff(W.phi.indices.reshape(-1, 210), axis=1) > 0).all()
         cubic = assemble_W(X, g, BaseRule("cubic"), method="hierarchical")
         np.testing.assert_array_equal(cubic.matrix.toarray(),
                                       W.matrix.toarray())
         H = W.tables.H
         assert H.nnz / g.size == pytest.approx(8.12, abs=0.01)
+
+    def test_every_rule_shares_one_table(self):
+        # hierarchical has no rule, so one build of its tables serves all
+        g = build_sparse_grid(4, 6)
+        assert interpolator(g, "cubic", "hierarchical") is \
+            interpolator(g, "simplicial", "hierarchical")
 
     def test_density_error_and_repr_name_the_method(self):
         # the rule is not consulted, so neither message names it
@@ -929,7 +775,7 @@ class TestHierarchical:
         dense_row = scipy.sparse.csr_matrix(np.ones((1, 17)))
         with pytest.raises(RuntimeError, match="17 entries; method=hierarchical "
                                                "over 6 grids allows at most 6"):
-            WeightMatrix([dense_row], tables)
+            WeightMatrix(dense_row, tables)
 
     @pytest.mark.parametrize("ell,d", [(0, 2), (3, 1), (4, 4), (4, 6), (3, 8)])
     def test_constants_reproduced(self, ell, d):

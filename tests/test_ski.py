@@ -2,6 +2,7 @@
 
 import base64
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -123,7 +124,7 @@ class TestSkiOperator:
     def test_zero_weight_rows_leave_noise_only(self):
         # all-zero W: the operator degenerates to sigma^2 I
         empty = scipy.sparse.csr_matrix((4, 17))
-        W = WeightMatrix([empty], interpolator(UniformLattice.unit(2, 2)))
+        W = WeightMatrix(empty, interpolator(UniformLattice.unit(2, 2)))
         op = SkiOperator(W, lambda v: v, sigma2=1.0)
         v = np.arange(4.0)
         np.testing.assert_array_equal(op.matvec(v), v)
@@ -162,7 +163,7 @@ class TestSkiOperator:
 
     def test_negative_sigma_rejected(self):
         empty = scipy.sparse.csr_matrix((2, 3))
-        W = WeightMatrix([empty], interpolator(UniformLattice.unit(1, 2)))
+        W = WeightMatrix(empty, interpolator(UniformLattice.unit(1, 2)))
         with pytest.raises(ValueError):
             SkiOperator(W, lambda v: v, sigma2=-0.1)
 
@@ -417,12 +418,8 @@ class TestFitPredict:
         np.testing.assert_allclose(model.alpha, np.linalg.solve(Kt, y),
                                    rtol=0, atol=1e-8)
 
-    def test_fits_are_bit_identical(self, monkeypatch):
-        # the sketch's test matrix is seeded and W^T sums its row parts in
-        # a fixed order, so repeated fits agree exactly; at n = 4000, d = 4
-        # Phi (70 entries a row) is over SHARD_MIN_NNZ and is cut into two
-        # parts
-        monkeypatch.setattr(interp, "shard_count", lambda: 2)
+    def test_fits_are_bit_identical(self):
+        # the sketch's test matrix is seeded, so repeated fits agree exactly
         for n, d in ((300, 3), (4000, 4)):
             rng = np.random.default_rng(49)
             X = rng.uniform(0, 1, (n, d))
@@ -434,11 +431,34 @@ class TestFitPredict:
             assert a.fit_stats.residual_norms == b.fit_stats.residual_norms
             # true residual through the recursive MVM and scipy's products
             W = assemble_W(a.domain_map.forward(X), a.grid, method=cfg.method)
-            assert (len(W.parts) == 2) == (n == 4000)
             Ka = W.matrix @ sg_mvm(build_plan(4, d, cfg.kernel),
                                    W.matrix.T @ a.alpha)
             resid = y - Ka - cfg.sigma2 * a.alpha
             assert np.linalg.norm(resid) <= 1e-6 * np.linalg.norm(y)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two usable CPUs")
+    def test_fits_are_bit_identical_on_one_and_two_cpus(self):
+        # W and W^T are applied on the calling thread, so the CPU count
+        # does not enter the arithmetic; at n = 4000, d = 4 Phi has 280k
+        # non-zeros
+        rng = np.random.default_rng(53)
+        X = rng.uniform(0, 1, (4000, 4))
+        y = np.cos(X.sum(axis=1)) + 0.05 * rng.standard_normal(len(X))
+        cfg = quick_cfg(4, ell=4, sigma2=0.0025, tol=1e-6)
+        mask = os.sched_getaffinity(0)
+        fits = []
+        try:
+            for cpus in ({min(mask)}, set(sorted(mask)[:2])):
+                os.sched_setaffinity(0, cpus)
+                fits.append(fit(cfg, X, y))
+        finally:
+            os.sched_setaffinity(0, mask)
+        one, two = fits
+        np.testing.assert_array_equal(one.alpha, two.alpha)
+        np.testing.assert_array_equal(one.grid_dual, two.grid_dual)
+        assert one.fit_stats.residual_norms == two.fit_stats.residual_norms
 
     def test_noiseless_interpolation_recovers_prior_sample(self):
         rng = np.random.default_rng(41)
