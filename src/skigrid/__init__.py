@@ -23,7 +23,6 @@ from .interp import (
     UniformLattice,
     WeightMatrix,
     assemble_W,
-    interpolate,
     interpolate_direct,
     interpolator,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "fit",
     "fit_loglog_slope",
     "gen_synthetic",
-    "interpolate",
     "interpolate_direct",
     "interpolator",
     "load_model",

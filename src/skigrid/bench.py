@@ -23,11 +23,11 @@ from importlib import resources
 import numpy as np
 
 from .grids import build_sparse_grid, sparse_grid_size
-from .interp import BaseRule, UniformLattice, interpolator
+from .interp import RULE_KINDS, BaseRule, UniformLattice, interpolator
 from .kernels import ProductKernel
 from .sgmvm import build_plan, sg_mvm, sg_mvm_batched
-from .ski import CgConfig, CgFailure, GpConfig, exact_gp_oracle, fit, \
-    read_xy_csv
+from .ski import ORACLE_POINT_CAP, CgConfig, CgFailure, GpConfig, \
+    exact_gp_oracle, fit, read_xy_csv
 
 SYNTHETIC_FUNCTIONS = ("cos_l1", "aniso_cos", "corner_peak")
 
@@ -362,7 +362,7 @@ def matched_dense_side(ell, dim):
     return side
 
 
-def run_interp_accuracy(task, grids=None, rules=("simplicial",), n_eval=200):
+def run_interp_accuracy(task, grids=None, rules=RULE_KINDS[:1], n_eval=200):
     """RMS interpolation error per (grid kind, rule, size), the sparse
     grids' rows comparing base rules under the combination technique.
 
@@ -407,7 +407,7 @@ def run_interp_accuracy(task, grids=None, rules=("simplicial",), n_eval=200):
 
 def run_gp_study(tasks, resolution=4, lengthscale=0.3, sigma2=None,
                  cg=None, grids=("sparse", "dense"), include_exact=False,
-                 exact_point_cap=5000):
+                 exact_point_cap=ORACLE_POINT_CAP):
     """Test RMSE per (task, grid kind) at resolution ``ell`` sparse vs the
     point-budget-matched dense lattice; optionally an exact-GP oracle row.
 

@@ -255,7 +255,7 @@ def cmd_mvm_bench(ctx, **r):
               default="cos_l1")
 @click.option("--d", type=int, default=6)
 @click.option("--ells", type=str, default="2,3,4,5")
-@click.option("--rules", type=str, default="simplicial",
+@click.option("--rules", type=str, default=RULE_KINDS[0],
               help="Comma-separated subset of simplicial,linear,cubic.")
 @click.option("--matched-dense/--sparse-only", default=True)
 @click.option("--n-eval", type=int, default=200)

@@ -137,11 +137,7 @@ def build_sparse_grid(resolution, dim, size_cap=DEFAULT_SIZE_CAP):
 @lru_cache(maxsize=None)
 def canonical_to_sorted_1d(ell):
     """rank[c] = sorted position of the c-th canonical point of G(ell, 1)."""
-    parts = [
-        (2 * np.arange(2**i, dtype=np.int64) + 1) * 2 ** (ell - i) - 1
-        for i in range(ell + 1)
-    ]
-    r = np.concatenate(parts)
+    r = np.concatenate([omega_ranks_in_sorted_1d(i, ell) for i in range(ell + 1)])
     r.flags.writeable = False
     return r
 

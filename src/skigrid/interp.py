@@ -24,29 +24,31 @@ accumulated in global sparse-grid indices; the subsampled variant averages
 the shell |l|_1 = ell restricted to grids containing a component of ell or
 ell-1.  A UniformLattice takes the base rule alone and ignores the method.
 
-interpolator(grid, rule, method) checks its arguments once and returns the
-tables bound to that one setting; assemble_W and interpolate are calls on
-it, and a GpModel holds one.  The tables of a sparse grid are built once
-in a process per (resolution, dim, method), and per rule for the
-combination methods; hierarchical has no rule.  For the combination
-methods the component lattices are stacked into (C, d) tables of counts,
-spacings, offsets and row-major strides, with (C,) coefficients and one
-table concatenating every component's rect_injection; a corner's column is
-that table at its component's base plus its row-major index, so no point
-lookup is needed.  A UniformLattice is the C = 1 case with no injection.
-The bound rule runs one pass per stencil shape, the ordered widths of a
-component's multi-point axes, with the cells and local coordinates of a
-pass's c components on their k such axes as (rows, c, k) arrays: the tensor
-rules take the products of per-axis stencils; the simplicial rule sorts the
-coordinates with one argsort and walks the Kuhn simplex by cumulative
-strides, k + 1 corners (Kapoor et al., "SKIing on Simplices", ICML 2021).
-Entries keep component-then-corner order within a row, so duplicates merge
-in the same order whatever the block size.  The hierarchical tables are the
-same kind for the S subspaces (levels, strides, bases, concatenated
-rect_injection), plus H, whose hierarchical parents are found by index
-arithmetic on them; Phi's rows are one (rows, S, d) gather of per-axis
-hats, with nothing to merge.  Points go through in row blocks sized from a
-byte budget.
+interpolator(grid, rule, method) is the one place an interpolation setting
+is decided (the defaults are RULE_KINDS[0] and METHODS[0]): it checks its
+arguments and builds the tables bound to that one setting, every call
+anew.  They belong to its caller and nothing else keeps them: assemble_W
+is a call on a fresh one, fit hands the one behind its W to the GpModel
+it returns, and load_model builds one.
+
+For the combination methods the component lattices are stacked into (C, d)
+tables of counts, spacings, offsets and row-major strides, with (C,)
+coefficients and one table concatenating every component's rect_injection; a
+corner's column is that table at its component's base plus its row-major
+index, so no point lookup is needed.  A UniformLattice is the C = 1 case
+with no injection.  The bound rule runs one pass per stencil shape, the
+ordered widths of a component's multi-point axes, with the cells and local
+coordinates of a pass's c components on their k such axes as (rows, c, k)
+arrays: the tensor rules take the products of per-axis stencils; the
+simplicial rule sorts the coordinates with one argsort and walks the Kuhn
+simplex by cumulative strides, k + 1 corners (Kapoor et al., "SKIing on
+Simplices", ICML 2021).  Entries keep component-then-corner order within a
+row, so duplicates merge in the same order whatever the block size.  The
+hierarchical tables are the same kind for the S subspaces (levels, strides,
+bases, concatenated rect_injection), plus H, whose hierarchical parents are
+found by index arithmetic on them; Phi's rows are one (rows, S, d) gather of
+per-axis hats, with nothing to merge.  Points go through in row blocks sized
+from a byte budget.
 
 An interpolator's weights(X) is the W the fit builds once and applies twice
 per CG iteration.  Its evaluate(X, g) runs the same passes and row blocks
@@ -72,7 +74,7 @@ from itertools import product
 import numpy as np
 import scipy.sparse
 
-from .grids import SparseGrid, rect_injection, sparse_grid_size
+from .grids import SparseGrid, rect_injection
 
 RULE_KINDS = ("simplicial", "linear", "cubic")
 METHODS = ("hierarchical", "combination", "subsampled")
@@ -95,13 +97,10 @@ def rule_density(kind, dim):
 
 @dataclass(frozen=True)
 class BaseRule:
-    kind: str = "simplicial"
+    kind: str = RULE_KINDS[0]
 
     def __post_init__(self):
         rule_density(self.kind, 1)
-
-    def density(self, dim):
-        return rule_density(self.kind, dim)
 
 
 def _as_rule(rule):
@@ -617,36 +616,18 @@ class _Hierarchy(_Tables):
              np.arange(0, w.size + 1, self.n_grids)), shape=(len(X), self.size))
 
 
-@lru_cache(maxsize=None)
-def _grid_components(resolution, dim, method, kind):
-    """The tables of G(resolution, dim) under ``method``, bound to base
-    rule ``kind`` (None for hierarchical, which has no rule, so that every
-    rule shares its tables).  Built once in a process, so that a fit's W,
-    the model it returns and a model loaded in the same process share one
-    build (2-3, 5-8 and 13-18 ms at d = 4, 6 and 8, l = 4, hierarchical,
-    on a 2-vCPU x86 VM)."""
-    if method == "hierarchical":
-        return _Hierarchy(resolution, dim)
-    comps = _components(resolution, dim, method)
-    levels = np.array([lv for lv, _ in comps], dtype=np.int64).reshape(-1, dim)
-    return _Components(
-        2**levels, np.ldexp(1.0, -levels), np.ldexp(1.0, -levels - 1),
-        np.array([c for _, c in comps]), kind, method,
-        sparse_grid_size(resolution, dim),
-        [rect_injection(lv, resolution) for lv, _ in comps],
-    )
-
-
-def interpolator(grid, rule=BaseRule(), method="combination"):
+def interpolator(grid, rule=BaseRule(), method=METHODS[0]):
     """The interpolation tables of ``grid`` bound to one rule and method.
 
     grid is a SparseGrid (rows combined across component grids per
     ``method``, or Phi H for "hierarchical", which ignores ``rule``) or a
-    UniformLattice (single-grid rows under ``rule``, method ignored).  The
-    grid and rule are checked here, the method when its tables are built
-    (an unknown one raises ValueError).  The result's weights(X)
-    is W(X); evaluate(X, table_values(values)) is W(X) @ values, and
-    table_values can be formed once for many X.
+    UniformLattice (single-grid rows under ``rule``, method ignored).  An
+    unknown grid type raises TypeError; an unknown rule, or an unknown
+    method on a sparse grid, ValueError.  Each call builds new tables,
+    owned by the caller (1.5, 4.0 and 11.3 ms at d = 4, 6 and 8, l = 4,
+    hierarchical; min of 7 builds, 1 BLAS thread, 2-vCPU x86 VM).  The
+    result's weights(X) is W(X); evaluate(X, table_values(values)) is
+    W(X) @ values, and table_values can be formed once for many X.
     """
     rule = _as_rule(rule)
     if isinstance(grid, UniformLattice):
@@ -656,8 +637,15 @@ def interpolator(grid, rule=BaseRule(), method="combination"):
     if not isinstance(grid, SparseGrid):
         raise TypeError(f"grid must be SparseGrid or UniformLattice, "
                         f"got {type(grid).__name__}")
-    kind = None if method == "hierarchical" else rule.kind
-    return _grid_components(grid.resolution, grid.dim, method, kind)
+    if method == "hierarchical":
+        return _Hierarchy(grid.resolution, grid.dim)
+    comps = _components(grid.resolution, grid.dim, method)
+    levels = np.array([lv for lv, _ in comps], dtype=np.int64).reshape(-1, grid.dim)
+    return _Components(
+        2**levels, np.ldexp(1.0, -levels), np.ldexp(1.0, -levels - 1),
+        np.array([c for _, c in comps]), rule.kind, method, grid.size,
+        [rect_injection(lv, grid.resolution) for lv, _ in comps],
+    )
 
 
 # ---- weight-matrix assembly --------------------------------------------------
@@ -731,25 +719,17 @@ def _merged_rows(cols, vals, size):
     return rows
 
 
-def assemble_W(X, grid, rule=BaseRule(), method="combination"):
+def assemble_W(X, grid, rule=BaseRule(), method=METHODS[0]):
     """Interpolation matrix for query points X (n, d) over a sparse grid or
     lattice: interpolator(grid, rule, method).weights(X)."""
     return interpolator(grid, rule, method).weights(X)
-
-
-def interpolate(X, grid, values, rule=BaseRule(), method="combination"):
-    """W(X) @ values for grid values (grid.size,), without forming W: the
-    interpolator's evaluate, one table_values a call.  Within roundoff of
-    assemble_W(X, grid, rule, method).apply(values)."""
-    tables = interpolator(grid, rule, method)
-    return tables.evaluate(X, tables.table_values(values))
 
 
 # ---- direct interpolation (index-free evaluation route) ---------------------
 
 
 def interpolate_direct(f, X, resolution, dim, base=BaseRule(),
-                       method="combination"):
+                       method=METHODS[0]):
     """Sparse-grid interpolant of f at X, by direct evaluation.
 
     Computes every component's corner coordinates directly from the

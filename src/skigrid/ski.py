@@ -6,9 +6,10 @@ fast backend (sparse-grid plan, dense Kronecker lattice, or the naive dense
 reference).  Fitting solves (W K_G W^T + sigma^2 I) alpha = y by CG; the
 predictive mean is W_* (K_G (W^T alpha)), whose grid-sized inner part is
 precomputed once at fit time.  A GpModel holds the interpolator of its grid
-and those grid values in its table order (for hierarchical interpolation,
-their surpluses), both formed when the model is made, so a prediction is one
-evaluate at the new points and builds no W_*.
+(fit hands it the one behind its W; load_model builds one) and those grid
+values in its table order (for hierarchical interpolation, their
+surpluses), formed when the model is made, so a prediction is one evaluate
+at the new points and builds no W_*.
 
 CG is preconditioned by a randomized Nystrom approximation of W K_G W^T,
 sketched in place: two preallocated row buffers, small Gram matrices
@@ -29,7 +30,8 @@ import scipy.linalg
 import scipy.linalg.blas
 
 from .grids import build_sparse_grid
-from .interp import METHODS, BaseRule, UniformLattice, assemble_W, interpolator
+from .interp import (METHODS, RULE_KINDS, BaseRule, UniformLattice, assemble_W,
+                     interpolator)
 from .kernels import KroneckerToeplitz, ProductKernel
 from .sgmvm import build_plan, sg_mvm_batched
 
@@ -404,8 +406,8 @@ class GpConfig:
     grid: str = "sparse"            # sparse | dense
     resolution: int = 4             # sparse-grid resolution
     dense_count: int = 8            # points per dimension for grid="dense"
-    rule: str = "simplicial"        # dense lattices, combination, subsampled
-    method: str = "hierarchical"    # hierarchical | combination | subsampled
+    rule: str = RULE_KINDS[0]       # dense lattices, combination, subsampled
+    method: str = METHODS[0]        # hierarchical | combination | subsampled
     cg: CgConfig = field(default_factory=CgConfig)
 
     def __post_init__(self):
@@ -442,13 +444,14 @@ class GpModel:
 
     Predictions are y_mean + y_std * (the fitted GP's mean): when the
     targets were standardized before fitting, y_mean and y_std undo it.
-    Both are saved with the model.  The interpolator of the config's rule
-    and method on ``grid``, and grid_dual in its table order, are formed
-    here, once.
+    Both are saved with the model.  ``tables`` is the interpolator of the
+    config's rule and method on ``grid``, built by the caller (fit passes
+    the one behind its W) and held by the model alone, so it is freed with
+    the model; grid_dual is put in its table order here, once.
     """
 
-    def __init__(self, config, domain_map, grid, grid_dual, alpha, fit_stats,
-                 n_train, y_mean=0.0, y_std=1.0):
+    def __init__(self, config, domain_map, grid, tables, grid_dual, alpha,
+                 fit_stats, n_train, y_mean=0.0, y_std=1.0):
         self.config = config
         self.domain_map = domain_map
         self.grid = grid
@@ -458,7 +461,7 @@ class GpModel:
         self.n_train = n_train
         self.y_mean = float(y_mean)
         self.y_std = float(y_std)
-        self._interp = interpolator(grid, config.rule, config.method)
+        self._interp = tables
         self._values = self._interp.table_values(grid_dual)
 
     def predict_mean(self, Xs):
@@ -509,36 +512,42 @@ def _unb64(s):
 
 
 def load_model(path):
+    """The GpModel saved at ``path``.  A file that is not a skigrid-gp-1
+    model, or lacks a key or holds a malformed one, raises ValueError
+    naming the file."""
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("format") != "skigrid-gp-1":
+    if not isinstance(payload, dict) or payload.get("format") != "skigrid-gp-1":
         raise ValueError(f"unrecognized model format in {path}")
-    kernel = ProductKernel.from_json(json.dumps(payload["kernel"]))
-    sigma2 = payload["kernel"]["sigma2"]
-    g = payload["grid"]
-    cg = dict(payload["cg"])
-    # Stored CG settings are provenance only; Jacobi no longer exists, so
-    # files that name it load with today's default.
-    if cg.get("preconditioner") == "jacobi":
-        cg["preconditioner"] = CgConfig.preconditioner
-    cfg = GpConfig(
-        kernel=kernel, sigma2=sigma2, grid=g["kind"],
-        resolution=g["resolution"], dense_count=g["dense_count"],
-        rule=payload["rule"], method=payload["method"],
-        cg=CgConfig(**cg),
-    )
-    ystd = payload.get("y_standardization", {"mean": 0.0, "std": 1.0})
-    return GpModel(
-        config=cfg,
-        domain_map=DomainMap.from_json(payload["domain_map"]),
-        grid=_config_grid(cfg, g["dim"]),
-        grid_dual=_unb64(payload["grid_dual"]),
-        alpha=_unb64(payload["alpha"]),
-        fit_stats=None,
-        n_train=payload["n_train"],
-        y_mean=ystd["mean"],
-        y_std=ystd["std"],
-    )
+    try:
+        kernel = ProductKernel.from_json(json.dumps(payload["kernel"]))
+        sigma2 = payload["kernel"]["sigma2"]
+        g = payload["grid"]
+        cg = dict(payload["cg"])
+        # Stored CG settings are provenance only; Jacobi no longer exists, so
+        # files that name it load with today's default.
+        if cg.get("preconditioner") == "jacobi":
+            cg["preconditioner"] = CgConfig.preconditioner
+        cfg = GpConfig(
+            kernel=kernel, sigma2=sigma2, grid=g["kind"],
+            resolution=g["resolution"], dense_count=g["dense_count"],
+            rule=payload["rule"], method=payload["method"],
+            cg=CgConfig(**cg),
+        )
+        grid = _config_grid(cfg, g["dim"])
+        domain_map = DomainMap.from_json(payload["domain_map"])
+        grid_dual = _unb64(payload["grid_dual"])
+        alpha = _unb64(payload["alpha"])
+        n_train = payload["n_train"]
+        ystd = payload.get("y_standardization", {"mean": 0.0, "std": 1.0})
+        y_mean, y_std = ystd["mean"], ystd["std"]
+    except KeyError as exc:
+        raise ValueError(f"model file {path} has no key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"model file {path} is malformed: {exc}") from None
+    return GpModel(cfg, domain_map, grid,
+                   interpolator(grid, cfg.rule, cfg.method), grid_dual,
+                   alpha, None, n_train, y_mean=y_mean, y_std=y_std)
 
 
 def fit(config, X, y):
@@ -570,7 +579,8 @@ def fit(config, X, y):
             f"residual {stats.final_rel_residual:.3e}"
             + (" (diverged)" if stats.diverged else ""), stats)
     grid_dual = grid_mvm(W.apply_transpose(alpha))
-    return GpModel(config, dmap, grid, grid_dual, alpha, stats, len(X))
+    return GpModel(config, dmap, grid, W.tables, grid_dual, alpha, stats,
+                   len(X))
 
 
 # ---- exact dense GP oracle -------------------------------------------------

@@ -295,6 +295,25 @@ class TestGpFitPredict:
                                    "--output", str(tmp_path / "p.csv")])
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda payload: {k: v for k, v in payload.items() if k != "rule"},
+        lambda payload: {**payload, "cg": {**payload["cg"], "extra": 1}},
+        lambda payload: [payload],
+    ], ids=["missing_key", "unknown_cg_key", "list"])
+    def test_predict_malformed_model_exit_1(self, runner, tmp_path, corrupt):
+        train = tmp_path / "train.csv"
+        make_train_csv(train, n=40, d=2, seed=6)
+        model = tmp_path / "m.json"
+        assert runner.invoke(main, self.fit_args(
+            train, model, resolution=2, sigma2=1e-2,
+            cg_tol=1e-6)).exit_code == 0
+        model.write_text(json.dumps(corrupt(json.loads(model.read_text()))))
+        res = runner.invoke(main, ["gp", "predict", "--model", str(model),
+                                   "--data", str(train),
+                                   "--output", str(tmp_path / "p.csv")])
+        assert res.exit_code == 1
+        assert "input error" in res.stderr and str(model) in res.stderr
+
     def test_loaded_model_predicts_on_data_scale(self, runner, tmp_path):
         # targets with mean ~5 and std ~3: a model fitted by the CLI and
         # loaded through the library must undo the standardization itself

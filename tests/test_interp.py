@@ -20,7 +20,6 @@ from skigrid.interp import (
     WeightMatrix,
     assemble_W,
     combination_components,
-    interpolate,
     interpolate_direct,
     interpolator,
     rule_density,
@@ -32,6 +31,13 @@ def one_row(x, grid, kind="simplicial", method="combination"):
     """Columns and weights of x's row of W: duplicates merged, zeros dropped."""
     W = assemble_W(np.reshape(x, (1, -1)), grid, BaseRule(kind), method).matrix
     return W.indices, W.data
+
+
+def evaluate(X, grid, values, kind="simplicial", method="combination"):
+    """W(X) @ values without forming W: the tables' evaluate of their
+    table-order values."""
+    tables = interpolator(grid, BaseRule(kind), method)
+    return tables.evaluate(X, tables.table_values(values))
 
 
 def lattice_row(x, levels, kind="simplicial"):
@@ -321,12 +327,13 @@ class TestAssembleW:
         X = rng.uniform(0, 1, (15, 2))
         g = build_sparse_grid(3, 2)
         f = lambda P: np.exp(-P[:, 0]) * np.sin(4 * P[:, 1])
-        W = assemble_W(X, g)
+        W = assemble_W(X, g, method="combination")
         samples = f(g.points())
         m = W.matrix
         for i, x in enumerate(X):
             cols, w = (a[m.indptr[i] : m.indptr[i + 1]] for a in (m.indices, m.data))
-            want = interpolate_direct(f, x[None, :], 3, 2)[0]
+            want = interpolate_direct(f, x[None, :], 3, 2,
+                                      method="combination")[0]
             assert w @ samples[cols] == pytest.approx(want, abs=1e-12)
 
     def test_high_dimension_matches_direct_evaluation(self):
@@ -337,8 +344,8 @@ class TestAssembleW:
         g = build_sparse_grid(ell, d)
         f = lambda P: np.cos(P.sum(axis=1)) + P[:, 0] * P[:, -1]
         X = rng.uniform(0, 1, (8, d))
-        via_W = assemble_W(X, g).apply(f(g.points()))
-        direct = interpolate_direct(f, X, ell, d)
+        via_W = assemble_W(X, g, method="combination").apply(f(g.points()))
+        direct = interpolate_direct(f, X, ell, d, method="combination")
         np.testing.assert_allclose(via_W, direct, rtol=0, atol=1e-10)
 
     def test_tensor_rule_in_high_dimension_matches_direct_evaluation(self):
@@ -379,7 +386,7 @@ class TestAssembleW:
             return np.cos(P.sum(axis=1))
 
         X = np.random.default_rng(31).uniform(0, 1, (20, 3))
-        interpolate_direct(f, X, 3, 3, BaseRule(kind))
+        interpolate_direct(f, X, 3, 3, BaseRule(kind), method="combination")
         assert len(calls) == 1
         assert len(np.unique(calls[0], axis=0)) == len(calls[0])
 
@@ -387,7 +394,7 @@ class TestAssembleW:
         rng = np.random.default_rng(29)
         g = build_sparse_grid(4, 2)
         X = rng.uniform(0, 1, (60, 2))
-        W = assemble_W(X, g)
+        W = assemble_W(X, g, method="combination")
         u = rng.standard_normal(60)
         v = rng.standard_normal(g.size)
         lhs = W.apply(v) @ u
@@ -409,20 +416,20 @@ class TestAssembleW:
         rng = np.random.default_rng(37)
         X = rng.uniform(0, 1, (200, 6))
         g = build_sparse_grid(4, 6)
-        W = assemble_W(X, g)
+        W = assemble_W(X, g, method="combination")
         assert W.max_row_nnz <= W.density_bound
         assert W.tables.n_grids == len(combination_components(4, 6))
 
     def test_validation(self):
         g = build_sparse_grid(2, 2)
         with pytest.raises(ValueError):
-            assemble_W(np.zeros((3, 2, 1)), g)
+            assemble_W(np.zeros((3, 2, 1)), g, method="combination")
         with pytest.raises(ValueError):
-            assemble_W(np.array([[np.nan, 0.5]]), g)
+            assemble_W(np.array([[np.nan, 0.5]]), g, method="combination")
         with pytest.raises(ValueError):
-            assemble_W(np.zeros((3, 3)), g)
+            assemble_W(np.zeros((3, 3)), g, method="combination")
         with pytest.raises(TypeError):
-            assemble_W(np.zeros((3, 2)), "grid")
+            assemble_W(np.zeros((3, 2)), "grid", method="combination")
         with pytest.raises(ValueError):
             assemble_W(np.zeros((3, 2)), g, method="bogus")
         with pytest.raises(ValueError):
@@ -445,12 +452,12 @@ class TestAssembleW:
         # rows are merged block by block; W must not depend on where a
         # block ends
         g = build_sparse_grid(4, 6)
-        B = interpolator(g, BaseRule(kind)).block_rows()
+        B = interpolator(g, BaseRule(kind), "combination").block_rows()
         X = np.random.default_rng(59).uniform(-0.1, 1.1, (B + 1, 6))
-        rows = [assemble_W(X[i : i + 1], g, BaseRule(kind)).matrix
+        rows = [assemble_W(X[i : i + 1], g, BaseRule(kind), "combination").matrix
                 for i in range(B + 1)]
         for n in (B - 1, B, B + 1):
-            got = assemble_W(X[:n], g, BaseRule(kind)).matrix
+            got = assemble_W(X[:n], g, BaseRule(kind), "combination").matrix
             want = scipy.sparse.vstack(rows[:n], format="csr")
             for attr in ("indptr", "indices", "data"):
                 np.testing.assert_array_equal(getattr(got, attr),
@@ -459,7 +466,8 @@ class TestAssembleW:
     def test_simplicial_walks_multi_point_axes_only(self):
         # a component with k multi-point axes takes k + 1 slots of a row:
         # 714 at G(4, 6), where a walk over all d axes takes C(d + 1) = 1470
-        comps = interpolator(build_sparse_grid(4, 6), BaseRule("simplicial"))
+        comps = interpolator(build_sparse_grid(4, 6), BaseRule("simplicial"),
+                             "combination")
         k = (comps.counts > 1).sum(axis=1)
         assert comps.row_entries == (k + 1).sum() == 714
         slots = []
@@ -476,7 +484,8 @@ class TestAssembleW:
     def test_block_rows_hold_each_column_once(self, kind):
         # the Kuhn walk and the linear stencil reach distinct points of one
         # component, and components are disjoint: nothing is left to merge
-        comps = interpolator(build_sparse_grid(4, 6), BaseRule(kind))
+        comps = interpolator(build_sparse_grid(4, 6), BaseRule(kind),
+                             "combination")
         X = np.random.default_rng(67).uniform(-0.1, 1.1, (60, 6))
         X[:20] = np.round(X[:20] * 8) / 8  # on lattice lines, with ties
         flat, _ = comps.block(X)
@@ -485,7 +494,7 @@ class TestAssembleW:
 
     def test_no_points(self):
         for grid in (build_sparse_grid(3, 2), UniformLattice.unit(2, 5)):
-            W = assemble_W(np.zeros((0, 2)), grid)
+            W = assemble_W(np.zeros((0, 2)), grid, method="combination")
             assert W.shape == (0, grid.size) and W.nnz == 0
 
     def test_assembly_memory_is_bounded(self):
@@ -493,10 +502,10 @@ class TestAssembleW:
         # keep the peak within a small multiple of W itself
         g = build_sparse_grid(4, 6)
         X = np.random.default_rng(61).uniform(0, 1, (2000, 6))
-        assemble_W(X[:1], g)  # component tables are cached
+        tables = interpolator(g, method="combination")
         tracemalloc.start()
         try:
-            W = assemble_W(X, g)
+            W = tables.weights(X)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -514,10 +523,10 @@ class TestAssembleW:
 
 
 def assert_matches_W_route(X, grid, values, kind, method="combination"):
-    """interpolate agrees with assemble_W(...).apply row by row, to 1e-12
+    """evaluate agrees with assemble_W(...).apply row by row, to 1e-12
     of the row's sum of |w_j g_j|."""
     W = assemble_W(X, grid, BaseRule(kind), method)
-    got = interpolate(X, grid, values, BaseRule(kind), method)
+    got = evaluate(X, grid, values, kind, method)
     assert got.shape == (len(X),)
     size = abs(W.matrix) @ np.abs(values)
     assert (np.abs(got - W.apply(values)) <= 1e-12 * size).all()
@@ -540,7 +549,7 @@ class TestInterpolate:
     @pytest.mark.parametrize("kind", interp.RULE_KINDS)
     def test_sizes_at_block_edges(self, kind):
         g = build_sparse_grid(4, 6)
-        B = interpolator(g, BaseRule(kind)).block_rows()
+        B = interpolator(g, BaseRule(kind), "combination").block_rows()
         rng = np.random.default_rng(89)
         X = rng.uniform(-0.1, 1.1, (B + 1, 6))
         values = rng.uniform(size=g.size)
@@ -561,7 +570,7 @@ class TestInterpolate:
         g = build_sparse_grid(3, 3)
         f = lambda P: np.cos(P.sum(axis=1)) + 0.3 * P[:, 0] * P[:, 1]
         X = np.random.default_rng(101).uniform(0, 1, (80, 3))
-        got = interpolate(X, g, f(g.points()), BaseRule(kind), method)
+        got = evaluate(X, g, f(g.points()), kind, method)
         direct = interpolate_direct(f, X, 3, 3, BaseRule(kind), method=method)
         np.testing.assert_allclose(got, direct, rtol=0, atol=1e-10)
 
@@ -571,20 +580,20 @@ class TestInterpolate:
         for X in (np.zeros((3, 3)), np.array([[np.nan, 0.5]]),
                   np.array([[0.5, np.inf]]), np.zeros((3, 2, 1))):
             with pytest.raises(ValueError) as want:
-                assemble_W(X, g)
+                assemble_W(X, g, method="combination")
             with pytest.raises(ValueError) as got:
-                interpolate(X, g, values)
+                evaluate(X, g, values)
             assert str(got.value) == str(want.value)
         X = np.full((3, 2), 0.5)
         for bad in (values[:-1], np.ones(g.size + 1)):
             with pytest.raises(ValueError):
-                assemble_W(X, g).apply(bad)
+                assemble_W(X, g, method="combination").apply(bad)
             with pytest.raises(ValueError, match="values has shape"):
-                interpolate(X, g, bad)
+                evaluate(X, g, bad)
         with pytest.raises(ValueError, match="values has shape"):
-            interpolate(X, g, np.ones((g.size, 1)))  # one vector of values
+            evaluate(X, g, np.ones((g.size, 1)))  # one vector of values
         with pytest.raises(TypeError):
-            interpolate(X, "grid", values)
+            evaluate(X, "grid", values)
 
 
 def assert_matches_csr(W, rng):
@@ -602,18 +611,21 @@ def assert_matches_csr(W, rng):
 class TestWeightMatrixApply:
     def test_matches_csr(self):
         rng = np.random.default_rng(61)
-        W = assemble_W(rng.uniform(0, 1, (700, 6)), build_sparse_grid(4, 6))
+        W = assemble_W(rng.uniform(0, 1, (700, 6)), build_sparse_grid(4, 6),
+                       method="combination")
         assert_matches_csr(W, rng)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_no_rows_and_one_row(self, n):
         rng = np.random.default_rng(71)
-        W = assemble_W(rng.uniform(0, 1, (n, 3)), build_sparse_grid(3, 3))
+        W = assemble_W(rng.uniform(0, 1, (n, 3)), build_sparse_grid(3, 3),
+                       method="combination")
         assert_matches_csr(W, rng)
 
     def test_other_dtypes_strides_and_shapes(self):
         rng = np.random.default_rng(73)
-        W = assemble_W(rng.uniform(0, 1, (40, 3)), build_sparse_grid(3, 3))
+        W = assemble_W(rng.uniform(0, 1, (40, 3)), build_sparse_grid(3, 3),
+                       method="combination")
         v = rng.standard_normal(W.shape[1])
         u = rng.standard_normal(W.shape[0])
         for w in (v.astype(np.float32), v.tolist(), v[::-1]):
@@ -629,7 +641,8 @@ class TestWeightMatrixApply:
         # more calling threads than cores share one W; no call may see
         # another's output
         rng = np.random.default_rng(89)
-        W = assemble_W(rng.uniform(0, 1, (300, 4)), build_sparse_grid(4, 4))
+        W = assemble_W(rng.uniform(0, 1, (300, 4)), build_sparse_grid(4, 4),
+                       method="combination")
         v = rng.standard_normal((W.shape[1], 2))
         u = rng.standard_normal(W.shape[0])
         want_v, want_u = W.matrix @ v, W.apply_transpose(u)
@@ -669,7 +682,7 @@ class TestConvergence:
         errs = []
         for ell in range(1, 5):
             g = build_sparse_grid(ell, d)
-            W = assemble_W(X, g)
+            W = assemble_W(X, g, method="combination")
             rms = float(np.sqrt(np.mean((W.apply(f(g.points())) - f(X)) ** 2)))
             errs.append(rms)
         assert all(b < a for a, b in zip(errs, errs[1:]))
@@ -679,7 +692,7 @@ class TestConvergence:
 
 
 def hier(X, grid, values):
-    return interpolate(X, grid, values, method="hierarchical")
+    return evaluate(X, grid, values, method="hierarchical")
 
 
 def reference_surplus_matrix(grid):
@@ -760,11 +773,18 @@ class TestHierarchical:
         H = W.tables.H
         assert H.nnz / g.size == pytest.approx(8.12, abs=0.01)
 
-    def test_every_rule_shares_one_table(self):
-        # hierarchical has no rule, so one build of its tables serves all
-        g = build_sparse_grid(4, 6)
-        assert interpolator(g, "cubic", "hierarchical") is \
-            interpolator(g, "simplicial", "hierarchical")
+    def test_is_the_default_method(self):
+        g = build_sparse_grid(4, 4)
+        X = np.random.default_rng(157).uniform(-0.1, 1.1, (100, 4))
+        got = assemble_W(X, g).matrix
+        want = assemble_W(X, g, method="hierarchical").matrix
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, attr),
+                                          getattr(want, attr), strict=True)
+        f = lambda P: np.cos(P.sum(axis=1)) + 0.3 * P[:, 0] * P[:, -1]
+        np.testing.assert_array_equal(
+            interpolate_direct(f, X, 4, 4),
+            interpolate_direct(f, X, 4, 4, method="hierarchical"), strict=True)
 
     def test_density_error_and_repr_name_the_method(self):
         # the rule is not consulted, so neither message names it

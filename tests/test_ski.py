@@ -1,9 +1,11 @@
 """SKI operator, CG solver, GP fit/predict, and the exact dense oracle."""
 
 import base64
+import gc
 import json
 import os
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,6 @@ from skigrid.interp import (
     UniformLattice,
     WeightMatrix,
     assemble_W,
-    interpolate,
     interpolator,
 )
 from skigrid.kernels import ProductKernel
@@ -48,7 +49,7 @@ def small_instance(seed, n=100, ell=3, d=2, sigma2=0.1):
     grid = build_sparse_grid(ell, d)
     plan = build_plan(ell, d, kernel)
     X = rng.uniform(0, 1, (n, d))
-    W = assemble_W(X, grid)
+    W = assemble_W(X, grid, method="combination")
     op = SkiOperator(W, lambda v: sg_mvm_batched(plan, v), sigma2)
     dense = materialize_ski(W, kernel.pairwise(grid.points()), sigma2)
     return rng, op, dense
@@ -77,7 +78,7 @@ def ski_operator(n, d, ell, sigma2, ls=0.3, seed=3):
     """SkiOperator on n uniform points, with no dense reference."""
     X = np.random.default_rng(seed).uniform(size=(n, d))
     plan = build_plan(ell, d, ProductKernel(lengthscales=np.full(d, ls)))
-    W = assemble_W(X, build_sparse_grid(ell, d))
+    W = assemble_W(X, build_sparse_grid(ell, d), method="combination")
     return SkiOperator(W, lambda v: sg_mvm_batched(plan, v), sigma2,
                        mvm_floats=plan.workspace_floats)
 
@@ -380,6 +381,20 @@ class TestDomainMap:
         assert dm2.delta == dm.delta
 
 
+@pytest.fixture
+def built_hierarchies(monkeypatch):
+    """Weak references to every _Hierarchy built while the test runs."""
+    built = []
+    init = interp._Hierarchy.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(interp._Hierarchy, "__init__", recording)
+    return built
+
+
 def quick_cfg(d, ell=3, sigma2=0.01, ls=0.35, tol=1e-8, **kw):
     return GpConfig(
         kernel=ProductKernel(lengthscales=np.full(d, ls)),
@@ -667,7 +682,7 @@ class TestFitPredict:
     def test_requests_reuse_the_interpolator_built_with_the_model(
             self, tmp_path, monkeypatch):
         # fit and load_model build the interpolator and the surpluses in
-        # table order; a request neither looks up tables nor forms H @ values
+        # table order; a request neither builds tables nor forms H @ values
         rng = np.random.default_rng(83)
         X = rng.uniform(0, 1, (200, 3))
         fitted = fit(quick_cfg(3), X, np.sin(X.sum(axis=1)))
@@ -677,9 +692,10 @@ class TestFitPredict:
         loaded = load_model(path)
         cfg = fitted.config
         batches = [rng.uniform(-0.2, 1.2, (m, 3)) for m in (1, 17, 2600)]
-        want = [interpolate(fitted.domain_map.forward(Xs), fitted.grid,
-                            fitted.grid_dual, BaseRule(cfg.rule),
-                            method=cfg.method) for Xs in batches]
+        tables = interpolator(fitted.grid, BaseRule(cfg.rule), cfg.method)
+        values = tables.table_values(fitted.grid_dual)
+        want = [tables.evaluate(fitted.domain_map.forward(Xs), values)
+                for Xs in batches]
         calls = []
 
         def counted(fn):
@@ -688,8 +704,8 @@ class TestFitPredict:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(interp, "_grid_components",
-                            counted(interp._grid_components))
+        monkeypatch.setattr(interp._Hierarchy, "__init__",
+                            counted(interp._Hierarchy.__init__))
         monkeypatch.setattr(interp._Hierarchy, "table_values",
                             counted(interp._Hierarchy.table_values))
         for model in (fitted, loaded):
@@ -711,6 +727,57 @@ class TestFitPredict:
         Xs = rng.uniform(-0.2, 1.2, (30, 3))
         np.testing.assert_array_equal(loaded.predict_mean(Xs),
                                       model.predict_mean(Xs))
+
+    def test_each_fit_and_load_builds_its_own_tables(self, tmp_path,
+                                                     built_hierarchies):
+        # no table is shared: two fits of one (l, d) build one _Hierarchy
+        # each, a load builds one and a request none
+        rng = np.random.default_rng(89)
+        X = rng.uniform(0, 1, (100, 3))
+        y = np.sin(X.sum(axis=1))
+        models = [fit(quick_cfg(3), X, y), fit(quick_cfg(3), X, y)]
+        assert len(built_hierarchies) == 2
+        path = tmp_path / "model.json"
+        models[0].save(path)
+        models.append(load_model(path))
+        assert len(built_hierarchies) == 3
+        for model in models:
+            model.predict_mean(rng.uniform(0, 1, (5, 3)))
+        assert len(built_hierarchies) == 3
+
+    def test_tables_are_freed_with_the_model(self, tmp_path,
+                                             built_hierarchies):
+        rng = np.random.default_rng(97)
+        X = rng.uniform(0, 1, (100, 3))
+        model = fit(quick_cfg(3), X, np.sin(X.sum(axis=1)))
+        path = tmp_path / "model.json"
+        model.save(path)
+        loaded = load_model(path)
+        assert [ref() is not None for ref in built_hierarchies] == [True] * 2
+        del model, loaded
+        gc.collect()
+        assert [ref() for ref in built_hierarchies] == [None] * 2
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda payload: {k: v for k, v in payload.items() if k != "rule"},
+         "has no key 'rule'"),
+        (lambda payload: {**payload, "cg": {**payload["cg"], "extra": 1}},
+         "unexpected keyword argument 'extra'"),
+        (lambda payload: [payload], "unrecognized model format"),
+        (lambda payload: {**payload, "kernel": [1.0]}, "malformed"),
+        (lambda payload: {**payload, "grid": {**payload["grid"], "dim": "2"}},
+         "malformed"),
+    ], ids=["missing_key", "unknown_cg_key", "list", "kernel_list",
+            "dim_string"])
+    def test_load_rejects_malformed_file(self, tmp_path, corrupt, message):
+        rng = np.random.default_rng(101)
+        X = rng.uniform(0, 1, (50, 2))
+        path = tmp_path / "model.json"
+        fit(quick_cfg(2), X, np.sin(X.sum(axis=1))).save(path)
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=message) as err:
+            load_model(path)
+        assert str(path) in str(err.value)
 
     def test_load_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "bogus.json"
