@@ -25,13 +25,12 @@ import numpy as np
 from .grids import build_sparse_grid, sparse_grid_size
 from .interp import RULE_KINDS, BaseRule, UniformLattice, interpolator
 from .kernels import ProductKernel
-from .sgmvm import build_plan, sg_mvm, sg_mvm_batched
+from .sgmvm import DEFAULT_NAIVE_CAP, build_plan, sg_mvm, sg_mvm_batched
 from .ski import ORACLE_POINT_CAP, CgConfig, CgFailure, GpConfig, \
     exact_gp_oracle, fit, read_xy_csv
 
 SYNTHETIC_FUNCTIONS = ("cos_l1", "aniso_cos", "corner_peak")
 
-DEFAULT_NAIVE_BENCH_CAP = 3 * 10**4
 PIGGYBACK_RTOL = 1e-8
 
 
@@ -279,7 +278,7 @@ def _peak_bytes(factory, v):
 
 
 def run_mvm_scaling(dim, ells, algos=("iterative", "recursive", "naive"),
-                    reps=8, seed=0, naive_cap=DEFAULT_NAIVE_BENCH_CAP,
+                    reps=8, seed=0, naive_cap=DEFAULT_NAIVE_CAP,
                     size_cap=None, kernel=None):
     """Per-MVM time, build time, and peak memory across grid resolutions.
 
@@ -405,6 +404,67 @@ def run_interp_accuracy(task, grids=None, rules=RULE_KINDS[:1], n_eval=200):
 # ---- GP regression study -------------------------------------------------
 
 
+def fit_standardized(cfg, X, y, standardize=True):
+    """Fit ``cfg`` on (X, y), on targets standardized by their own mean and
+    std when ``standardize`` (a std of 0 counts as 1).  The model carries
+    the transform as y_mean/y_std, so it predicts on the scale of ``y``."""
+    y_mean, y_std = 0.0, 1.0
+    if standardize:
+        y_mean, y_std = float(y.mean()), float(y.std()) or 1.0
+    model = fit(cfg, X, (y - y_mean) / y_std)
+    model.y_mean, model.y_std = y_mean, y_std
+    return model
+
+
+def cg_report(stats):
+    """A fit's CG and preconditioner statistics, by report name."""
+    return {"cg_iterations": stats.n_iters,
+            "final_rel_residual": stats.final_rel_residual,
+            "precond_rank": stats.precond_rank,
+            "precond_lambda_ratio": stats.precond_lambda_ratio,
+            "precond_iter_estimate": stats.precond_iter_estimate,
+            "precond_seconds": stats.precond_seconds,
+            "precond_note": stats.precond_note}
+
+
+def _study_fits(res, base, X, y, resolution, kernel, sigma2, cg, grids,
+                standardize):
+    """Fit one study problem on G(resolution, d) and on the point-matched
+    dense lattice, adding the grid-size rows, then each fit's CG rows.
+
+    Yields (row keys, model, fit seconds) for each fit that converged; a CG
+    failure is recorded in the rows (with a null test_rmse) instead.
+    ``cg=None`` means rel-tol 1e-5 and at most 2000 iterations.
+    """
+    d = X.shape[1]
+    side = matched_dense_side(resolution, d)
+    res.add("sparse_grid_points", sparse_grid_size(resolution, d),
+            unit="points", **base)
+    res.add("dense_grid_points", side**d, unit="points", **base)
+    cg = cg if cg is not None else CgConfig(rel_tolerance=1e-5, max_iters=2000)
+    for kind in grids:
+        cfg = GpConfig(kernel=kernel, sigma2=sigma2, grid=kind,
+                       resolution=resolution, dense_count=side, cg=cg)
+        key = {**base, "grid": kind}
+        t0 = time.perf_counter()
+        try:
+            model = fit_standardized(cfg, X, y, standardize)
+        except CgFailure as exc:
+            res.add("cg_converged", False, **key)
+            res.add("cg_error", str(exc), **key)
+            res.add("test_rmse", None, **key)
+            stats, model = exc.stats, None
+        else:
+            res.add("cg_converged", True, **key)
+            stats = model.fit_stats
+        took = time.perf_counter() - t0
+        for name, value in cg_report(stats).items():
+            res.add(name, value,
+                    unit="s" if name == "precond_seconds" else None, **key)
+        if model is not None:
+            yield key, model, took
+
+
 def run_gp_study(tasks, resolution=4, lengthscale=0.3, sigma2=None,
                  cg=None, grids=("sparse", "dense"), include_exact=False,
                  exact_point_cap=ORACLE_POINT_CAP):
@@ -427,23 +487,9 @@ def run_gp_study(tasks, resolution=4, lengthscale=0.3, sigma2=None,
         X, y, Xs, fs = gen_synthetic(task)
         s2 = sigma2 if sigma2 is not None else max(task.noise_std**2, 1e-6)
         kernel = ProductKernel([lengthscale] * d)
-        side = matched_dense_side(resolution, d)
         base = {"function": task.function, "d": d, "n_train": task.n_train}
-        res.add("sparse_grid_points", sparse_grid_size(resolution, d),
-                unit="points", **base)
-        res.add("dense_grid_points", side**d, unit="points", **base)
-
-        for kind in grids:
-            cfg = GpConfig(kernel=kernel, sigma2=s2, grid=kind,
-                           resolution=resolution, dense_count=side,
-                           cg=cg if cg is not None else
-                           CgConfig(rel_tolerance=1e-5, max_iters=2000))
-            key = {**base, "grid": kind}
-            t0 = time.perf_counter()
-            model = _fit_rows(res, cfg, X, y, key)
-            if model is None:
-                continue
-            took = time.perf_counter() - t0
+        for key, model, took in _study_fits(res, base, X, y, resolution,
+                                            kernel, s2, cg, grids, False):
             rmse = float(np.sqrt(np.mean((model.predict_mean(Xs) - fs) ** 2)))
             res.add("fit_time", took, unit="s", **key)
             res.add("test_rmse", rmse, **key)
@@ -457,35 +503,6 @@ def run_gp_study(tasks, resolution=4, lengthscale=0.3, sigma2=None,
     return res
 
 
-def cg_report(stats):
-    """A fit's CG and preconditioner statistics, by report name."""
-    return {"cg_iterations": stats.n_iters,
-            "final_rel_residual": stats.final_rel_residual,
-            "precond_rank": stats.precond_rank,
-            "precond_lambda_ratio": stats.precond_lambda_ratio,
-            "precond_iter_estimate": stats.precond_iter_estimate,
-            "precond_seconds": stats.precond_seconds}
-
-
-def _fit_rows(res, cfg, X, y, key):
-    """Fit and add its CG rows to ``res``; a CG failure is recorded in the
-    rows (with a null test_rmse) and returns None."""
-    try:
-        model = fit(cfg, X, y)
-    except CgFailure as exc:
-        res.add("cg_converged", False, **key)
-        res.add("cg_error", str(exc), **key)
-        res.add("test_rmse", None, **key)
-        stats, model = exc.stats, None
-    else:
-        res.add("cg_converged", True, **key)
-        stats = model.fit_stats
-    for name, value in cg_report(stats).items():
-        res.add(name, value, unit="s" if name == "precond_seconds" else None,
-                **key)
-    return model
-
-
 def run_csv_study(data, resolution=4, lengthscales=(0.3,), sigma2=0.0025,
                   cg=None, seed=0, standardize=True):
     """4:2:3 split study on a CSV dataset, sparse vs matched dense grids.
@@ -493,16 +510,12 @@ def run_csv_study(data, resolution=4, lengthscales=(0.3,), sigma2=0.0025,
     Targets are standardized with training-split statistics when asked; the
     fitted model carries the transform, so its predictions are on the data
     scale (``*_rmse_raw``) and ``*_rmse`` is that over the training std.
+    ``cg=None`` means the settings run_gp_study takes for it.
     """
     X, y = read_xy_csv(data)
     dim = X.shape[1]
     tr, val, te = split_4_2_3(len(X), seed=seed)
-    y_mean, y_std = 0.0, 1.0
-    if standardize:
-        y_mean = float(y[tr].mean())
-        y_std = float(y[tr].std()) or 1.0
     ls = list(lengthscales)
-    side = matched_dense_side(resolution, dim)
     res = ExperimentResult(
         "gp_study",
         {"data": data, "dim": dim, "resolution": resolution,
@@ -510,23 +523,15 @@ def run_csv_study(data, resolution=4, lengthscales=(0.3,), sigma2=0.0025,
          "split": "4:2:3", "standardize": bool(standardize)},
     )
     res.add("split_sizes", f"{len(tr)}:{len(val)}:{len(te)}", d=dim)
-    res.add("sparse_grid_points", sparse_grid_size(resolution, dim),
-            unit="points", d=dim)
-    res.add("dense_grid_points", side**dim, unit="points", d=dim)
     if len(ls) == 1:
         ls = ls * dim
-    for kind in ("sparse", "dense"):
-        cfg = GpConfig(kernel=ProductKernel(ls), sigma2=sigma2, grid=kind,
-                       resolution=resolution, dense_count=side,
-                       cg=cg if cg is not None else CgConfig())
-        key = {"grid": kind, "d": dim}
-        model = _fit_rows(res, cfg, X[tr], (y[tr] - y_mean) / y_std, key)
-        if model is None:
-            continue
-        model.y_mean, model.y_std = y_mean, y_std
+    for key, model, _ in _study_fits(res, {"d": dim}, X[tr], y[tr],
+                                     resolution, ProductKernel(ls), sigma2,
+                                     cg, ("sparse", "dense"), standardize):
         for split, idx in (("val", val), ("test", te)):
             raw = float(np.sqrt(np.mean(
                 (model.predict_mean(X[idx]) - y[idx]) ** 2)))
-            res.add(f"{split}_rmse", raw / y_std, **key, scale="standardized")
+            res.add(f"{split}_rmse", raw / model.y_std, **key,
+                    scale="standardized")
             res.add(f"{split}_rmse_raw", raw, **key, scale="raw")
     return res

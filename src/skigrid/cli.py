@@ -1,9 +1,14 @@
 """Command-line entry point: grid inspection, benchmarks, GP fit/predict.
 
-Exit codes are a stable contract: 0 ok, 1 input error, 2 correctness
-failure, 3 resource cap, 4 solver failure.  Machine-readable output (JSON
-on stdout, results files on disk) comes first; human summaries go to
-stderr.
+A thin shell over the library: each command parses its options, calls
+``skigrid.bench`` or ``skigrid.ski`` and prints what they return.  Exit
+codes are a stable contract: 0 ok, 1 input error, 2 correctness failure,
+3 resource cap, 4 solver failure.  The group maps the library's errors
+onto them in one place (ValueError and OSError are input errors,
+MvmMismatch a correctness failure, GridCapExceeded a resource cap and
+CgFailure a solver failure), so command bodies raise rather than exit.
+Machine-readable output (JSON on stdout, results files on disk) comes
+first; human summaries go to stderr.
 
 Settings are click's own: each option's parameter name is its settings key
 and its decorator holds its default.  ``--config FILE`` (JSON, or TOML on
@@ -26,6 +31,7 @@ from .bench import (
     SyntheticTask,
     cg_report,
     environment_metadata,
+    fit_standardized,
     matched_dense_side,
     run_csv_study,
     run_gp_study,
@@ -36,7 +42,8 @@ from .grids import GridCapExceeded, build_sparse_grid, dump_points_csv, \
     sparse_grid_size
 from .interp import METHODS, RULE_KINDS
 from .kernels import ProductKernel
-from .ski import CgConfig, CgFailure, GpConfig, fit, load_model, read_xy_csv
+from .sgmvm import DEFAULT_NAIVE_CAP
+from .ski import CgConfig, CgFailure, GpConfig, load_model, read_xy_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -106,25 +113,6 @@ def _note(ctx, msg, min_verbosity=0):
         click.echo(msg, err=True)
 
 
-def _guard(ctx, fn):
-    """Run fn, mapping library errors onto the exit-code contract."""
-    try:
-        return fn()
-    except MvmMismatch as exc:
-        click.echo(f"correctness failure: {exc}", err=True)
-        ctx.exit(EXIT_CORRECTNESS)
-    except GridCapExceeded as exc:
-        click.echo(f"resource cap: {exc}", err=True)
-        ctx.exit(EXIT_RESOURCES)
-    except CgFailure as exc:
-        click.echo(f"solver failure: {exc}", err=True)
-        click.echo(f"stats: {exc.stats}", err=True)
-        ctx.exit(EXIT_SOLVER)
-    except (ValueError, OSError) as exc:
-        click.echo(f"input error: {exc}", err=True)
-        ctx.exit(EXIT_INPUT)
-
-
 def _parse_ints(text):
     return [int(tok) for tok in str(text).split(",") if tok.strip() != ""]
 
@@ -144,7 +132,10 @@ def _write_results(res, r):
 
 
 class _ContractGroup(click.Group):
-    """Group whose parse errors follow the exit-code contract (input = 1)."""
+    """Group that maps parse errors and the library's errors onto the
+    exit-code contract, so each command body just runs: a click usage error
+    or abort exits 1, and a library error prints one stderr line and exits
+    with its code (a CgFailure adds a ``stats:`` line)."""
 
     def main(self, *args, standalone_mode=True, **extra):
         try:
@@ -153,6 +144,19 @@ class _ContractGroup(click.Group):
             exc.show()
             sys.exit(EXIT_INPUT)
         except click.exceptions.Abort:
+            sys.exit(EXIT_INPUT)
+        except MvmMismatch as exc:
+            click.echo(f"correctness failure: {exc}", err=True)
+            sys.exit(EXIT_CORRECTNESS)
+        except GridCapExceeded as exc:
+            click.echo(f"resource cap: {exc}", err=True)
+            sys.exit(EXIT_RESOURCES)
+        except CgFailure as exc:
+            click.echo(f"solver failure: {exc}", err=True)
+            click.echo(f"stats: {exc.stats}", err=True)
+            sys.exit(EXIT_SOLVER)
+        except (ValueError, OSError) as exc:
+            click.echo(f"input error: {exc}", err=True)
             sys.exit(EXIT_INPUT)
         if isinstance(rv, int) and rv != 0:
             sys.exit(rv)
@@ -180,30 +184,26 @@ def main():
 @click.pass_context
 def cmd_grid(ctx, **r):
     """Report the closed-form and enumerated sizes of G(l, d)."""
-
-    def run():
-        if r["l"] is None or r["d"] is None:
-            raise ValueError("--l and --d are required")
-        if r["l"] < 0 or r["d"] < 1:
-            raise ValueError("need l >= 0 and d >= 1")
-        closed = sparse_grid_size(r["l"], r["d"])
-        grid = build_sparse_grid(
-            r["l"], r["d"],
-            **({} if r["size_cap"] is None else {"size_cap": r["size_cap"]}))
-        enumerated = len(grid)
-        if enumerated != closed:
-            click.echo(
-                f"correctness failure: closed form {closed} != enumerated "
-                f"{enumerated}", err=True)
-            ctx.exit(EXIT_CORRECTNESS)
-        if r["dump"]:
-            dump_points_csv(grid, r["dump"])
-        label = f"{closed} point" + ("s" if closed != 1 else "")
-        _emit(ctx, closed_form=closed, enumerated=enumerated, label=label,
-              dump=r["dump"])
-        click.echo(f"G(l={r['l']}, d={r['d']}): {label}", err=True)
-
-    _guard(ctx, run)
+    if r["l"] is None or r["d"] is None:
+        raise ValueError("--l and --d are required")
+    if r["l"] < 0 or r["d"] < 1:
+        raise ValueError("need l >= 0 and d >= 1")
+    closed = sparse_grid_size(r["l"], r["d"])
+    grid = build_sparse_grid(
+        r["l"], r["d"],
+        **({} if r["size_cap"] is None else {"size_cap": r["size_cap"]}))
+    enumerated = len(grid)
+    if enumerated != closed:
+        click.echo(
+            f"correctness failure: closed form {closed} != enumerated "
+            f"{enumerated}", err=True)
+        ctx.exit(EXIT_CORRECTNESS)
+    if r["dump"]:
+        dump_points_csv(grid, r["dump"])
+    label = f"{closed} point" + ("s" if closed != 1 else "")
+    _emit(ctx, closed_form=closed, enumerated=enumerated, label=label,
+          dump=r["dump"])
+    click.echo(f"G(l={r['l']}, d={r['d']}): {label}", err=True)
 
 
 # ---- mvm-bench --------------------------------------------------------------
@@ -217,7 +217,7 @@ def cmd_grid(ctx, **r):
 @click.option("--algos", type=str, default="iterative,recursive,naive",
               help="Comma-separated subset of naive,recursive,iterative.")
 @click.option("--reps", type=int, default=8)
-@click.option("--naive-cap", type=int, default=30000)
+@click.option("--naive-cap", type=int, default=DEFAULT_NAIVE_CAP)
 @click.option("--size-cap", type=int)
 @click.option("--seed", type=int, default=0)
 @click.option("--output", type=click.Path(dir_okay=False),
@@ -227,23 +227,19 @@ def cmd_grid(ctx, **r):
 @click.pass_context
 def cmd_mvm_bench(ctx, **r):
     """Time sparse-grid MVM backends across resolutions (Fig.-2-style)."""
-
-    def run():
-        res = run_mvm_scaling(
-            r["d"], _parse_ints(r["ells"]),
-            algos=tuple(a.strip() for a in str(r["algos"]).split(",")),
-            reps=r["reps"], seed=r["seed"], naive_cap=r["naive_cap"],
-            size_cap=r["size_cap"])
-        _write_results(res, r)
-        _emit(ctx, output=r["output"], csv=r["csv"], rows=len(res.rows))
-        for row in res.metric_rows("mvm_time_mean"):
-            _note(ctx, f"  {row['algo']:>10s} l={row['ell']}: "
-                       f"{row['value'] * 1e3:.3f} ms/MVM", min_verbosity=1)
-        skipped = res.metric_rows("status")
-        _note(ctx, f"mvm-bench: {len(res.rows)} rows -> {r['output']}"
-                   + (f" ({len(skipped)} skipped)" if skipped else ""))
-
-    _guard(ctx, run)
+    res = run_mvm_scaling(
+        r["d"], _parse_ints(r["ells"]),
+        algos=tuple(a.strip() for a in str(r["algos"]).split(",")),
+        reps=r["reps"], seed=r["seed"], naive_cap=r["naive_cap"],
+        size_cap=r["size_cap"])
+    _write_results(res, r)
+    _emit(ctx, output=r["output"], csv=r["csv"], rows=len(res.rows))
+    for row in res.metric_rows("mvm_time_mean"):
+        _note(ctx, f"  {row['algo']:>10s} l={row['ell']}: "
+                   f"{row['value'] * 1e3:.3f} ms/MVM", min_verbosity=1)
+    skipped = res.metric_rows("status")
+    _note(ctx, f"mvm-bench: {len(res.rows)} rows -> {r['output']}"
+               + (f" ({len(skipped)} skipped)" if skipped else ""))
 
 
 # ---- interp-bench -----------------------------------------------------------
@@ -268,26 +264,22 @@ def cmd_mvm_bench(ctx, **r):
 def cmd_interp_bench(ctx, **r):
     """Interpolation RMS error of base rules, combination technique on
     sparse grids vs point-matched dense lattices."""
-
-    def run():
-        levels = _parse_ints(r["ells"])
-        task = SyntheticTask(r["function"], r["d"], seed=r["seed"])
-        grids = [("sparse", e) for e in levels]
-        if r["matched_dense"]:
-            grids += [("dense", matched_dense_side(e, r["d"]))
-                      for e in levels]
-        res = run_interp_accuracy(
-            task, grids=grids,
-            rules=tuple(s.strip() for s in str(r["rules"]).split(",")),
-            n_eval=r["n_eval"])
-        _write_results(res, r)
-        _emit(ctx, output=r["output"], csv=r["csv"], rows=len(res.rows))
-        for row in res.metric_rows("rms_error"):
-            _note(ctx, f"  {row['kind']:>6s} size={row['size']} "
-                       f"{row['rule']}: rms {row['value']:.4e}",
-                  min_verbosity=1)
-
-    _guard(ctx, run)
+    levels = _parse_ints(r["ells"])
+    task = SyntheticTask(r["function"], r["d"], seed=r["seed"])
+    grids = [("sparse", e) for e in levels]
+    if r["matched_dense"]:
+        grids += [("dense", matched_dense_side(e, r["d"]))
+                  for e in levels]
+    res = run_interp_accuracy(
+        task, grids=grids,
+        rules=tuple(s.strip() for s in str(r["rules"]).split(",")),
+        n_eval=r["n_eval"])
+    _write_results(res, r)
+    _emit(ctx, output=r["output"], csv=r["csv"], rows=len(res.rows))
+    for row in res.metric_rows("rms_error"):
+        _note(ctx, f"  {row['kind']:>6s} size={row['size']} "
+                   f"{row['rule']}: rms {row['value']:.4e}",
+              min_verbosity=1)
 
 
 # ---- gp ----------------------------------------------------------------------
@@ -329,16 +321,16 @@ def _gp_config(r, dim):
 @click.option("--output-scale", type=float, default=1.0)
 @click.option("--sigma2", type=float, default=0.0025)
 @click.option("--grid", type=click.Choice(["sparse", "dense"]),
-              default="sparse")
-@click.option("--resolution", type=int, default=4)
-@click.option("--dense-count", type=int, default=8)
+              default=GpConfig.grid)
+@click.option("--resolution", type=int, default=GpConfig.resolution)
+@click.option("--dense-count", type=int, default=GpConfig.dense_count)
 @click.option("--rule", type=click.Choice(RULE_KINDS), default=GpConfig.rule,
               show_default=True,
               help="Base rule of dense lattices and the combination methods.")
 @click.option("--method", type=click.Choice(METHODS), default=GpConfig.method,
               show_default=True, help="Sparse-grid interpolation.")
-@click.option("--cg-tol", type=float, default=1e-4)
-@click.option("--cg-max-iters", type=int, default=1000)
+@click.option("--cg-tol", type=float, default=CgConfig.rel_tolerance)
+@click.option("--cg-max-iters", type=int, default=CgConfig.max_iters)
 @click.option("--preconditioner", type=click.Choice(["none", "nystrom"]),
               default=CgConfig.preconditioner,
               help="CG preconditioner (default: nystrom).")
@@ -348,31 +340,18 @@ def _gp_config(r, dim):
 @click.pass_context
 def cmd_gp_fit(ctx, **r):
     """Fit a SKI GP on a CSV dataset and save the model."""
-
-    def run():
-        if not r["data"]:
-            raise ValueError("--data is required")
-        X, y = read_xy_csv(r["data"])
-        y_mean, y_std = 0.0, 1.0
-        if r["standardize"]:
-            y_mean = float(y.mean())
-            y_std = float(y.std())
-            if y_std == 0.0:
-                y_std = 1.0
-            y = (y - y_mean) / y_std
-        cfg = _gp_config(r, X.shape[1])
-        model = fit(cfg, X, y)
-        model.y_mean, model.y_std = y_mean, y_std
-        model.save(r["model"], cli={"command": _command_name(ctx),
-                                    "config": r,
-                                    "metadata": environment_metadata()})
-        _emit(ctx, model=r["model"], n_train=len(y),
-              **cg_report(model.fit_stats),
-              precond_note=model.fit_stats.precond_note)
-        _note(ctx, f"fit: n={len(y)} d={X.shape[1]} grid={cfg.grid} -> "
-                   f"{r['model']} ({model.fit_stats.n_iters} CG iterations)")
-
-    _guard(ctx, run)
+    if not r["data"]:
+        raise ValueError("--data is required")
+    X, y = read_xy_csv(r["data"])
+    cfg = _gp_config(r, X.shape[1])
+    model = fit_standardized(cfg, X, y, r["standardize"])
+    model.save(r["model"], cli={"command": _command_name(ctx),
+                                "config": r,
+                                "metadata": environment_metadata()})
+    _emit(ctx, model=r["model"], n_train=len(y),
+          **cg_report(model.fit_stats))
+    _note(ctx, f"fit: n={len(y)} d={X.shape[1]} grid={cfg.grid} -> "
+               f"{r['model']} ({model.fit_stats.n_iters} CG iterations)")
 
 
 def _read_features(path, dim):
@@ -398,24 +377,19 @@ def _read_features(path, dim):
 @click.pass_context
 def cmd_gp_predict(ctx, **r):
     """Write per-row posterior means for a CSV of inputs."""
-
-    def run():
-        if not r["model"] or not r["data"]:
-            raise ValueError("--model and --data are required")
-        model = load_model(r["model"])
-        dim = model.config.kernel.dim
-        X = _read_features(r["data"], dim)
-        mean = model.predict_mean(X)
-        with open(r["output"], "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"x_{j}" for j in range(dim)] + ["mean"])
-            for xi, mi in zip(X, mean):
-                w.writerow([repr(float(v)) for v in xi]
-                           + [repr(float(mi))])
-        _emit(ctx, output=r["output"], rows=len(mean))
-        _note(ctx, f"predict: {len(mean)} rows -> {r['output']}")
-
-    _guard(ctx, run)
+    if not r["model"] or not r["data"]:
+        raise ValueError("--model and --data are required")
+    model = load_model(r["model"])
+    dim = model.config.kernel.dim
+    X = _read_features(r["data"], dim)
+    mean = model.predict_mean(X)
+    with open(r["output"], "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow([f"x_{j}" for j in range(dim)] + ["mean"])
+        for xi, mi in zip(X, mean):
+            w.writerow([repr(float(v)) for v in xi] + [repr(float(mi))])
+    _emit(ctx, output=r["output"], rows=len(mean))
+    _note(ctx, f"predict: {len(mean)} rows -> {r['output']}")
 
 
 @cmd_gp.command("study")
@@ -445,35 +419,30 @@ def cmd_gp_predict(ctx, **r):
 @click.pass_context
 def cmd_gp_study(ctx, **r):
     """Sparse-vs-dense test RMSE study on synthetic or CSV data."""
-
-    def run():
-        ls = _parse_floats(r["lengthscales"])
-        cg = CgConfig(rel_tolerance=r["cg_tol"],
-                      max_iters=r["cg_max_iters"])
-        if r["data"]:
-            res = run_csv_study(r["data"], resolution=r["resolution"],
-                                lengthscales=ls, sigma2=r["sigma2"], cg=cg,
-                                seed=r["seed"], standardize=r["standardize"])
-        else:
-            tasks = [SyntheticTask(r["function"], d, noise_std=r["noise_std"],
-                                   seed=r["seed"], n_train=r["n_train"],
-                                   n_test=r["n_test"])
-                     for d in _parse_ints(r["dims"])]
-            if len(ls) != 1:
-                raise ValueError("synthetic studies take a single "
-                                 "lengthscale, one kernel per dimension "
-                                 "count is derived from it")
-            res = run_gp_study(tasks, resolution=r["resolution"],
-                               lengthscale=ls[0], sigma2=r["sigma2"],
-                               cg=cg, include_exact=r["include_exact"])
-        _write_results(res, r)
-        _emit(ctx, output=r["output"], csv=r["csv"], rows=len(res.rows))
-        for row in res.metric_rows("test_rmse"):
-            val = "failed" if row["value"] is None else f"{row['value']:.4f}"
-            _note(ctx, f"  d={row.get('d', '?')} {row['grid']:>6s}: "
-                       f"rmse {val}", min_verbosity=1)
-
-    _guard(ctx, run)
+    ls = _parse_floats(r["lengthscales"])
+    cg = CgConfig(rel_tolerance=r["cg_tol"], max_iters=r["cg_max_iters"])
+    if r["data"]:
+        res = run_csv_study(r["data"], resolution=r["resolution"],
+                            lengthscales=ls, sigma2=r["sigma2"], cg=cg,
+                            seed=r["seed"], standardize=r["standardize"])
+    else:
+        tasks = [SyntheticTask(r["function"], d, noise_std=r["noise_std"],
+                               seed=r["seed"], n_train=r["n_train"],
+                               n_test=r["n_test"])
+                 for d in _parse_ints(r["dims"])]
+        if len(ls) != 1:
+            raise ValueError("synthetic studies take a single "
+                             "lengthscale, one kernel per dimension "
+                             "count is derived from it")
+        res = run_gp_study(tasks, resolution=r["resolution"],
+                           lengthscale=ls[0], sigma2=r["sigma2"],
+                           cg=cg, include_exact=r["include_exact"])
+    _write_results(res, r)
+    _emit(ctx, output=r["output"], csv=r["csv"], rows=len(res.rows))
+    for row in res.metric_rows("test_rmse"):
+        val = "failed" if row["value"] is None else f"{row['value']:.4f}"
+        _note(ctx, f"  d={row.get('d', '?')} {row['grid']:>6s}: "
+                   f"rmse {val}", min_verbosity=1)
 
 
 if __name__ == "__main__":

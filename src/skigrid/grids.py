@@ -34,11 +34,6 @@ import numpy as np
 
 DEFAULT_SIZE_CAP = 10**8
 
-# Size table cross-check: one circulated figure for (resolution=4, dim=4) is 796;
-# the closed form and direct enumeration both give 769.  Kept visible here so the
-# discrepancy is flagged rather than silently adopted.
-KNOWN_SIZE_DISCREPANCY = {"resolution": 4, "dim": 4, "quoted": 796, "computed": 769}
-
 
 class GridCapExceeded(RuntimeError):
     """Requested grid would exceed the configured point cap."""

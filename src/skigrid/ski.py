@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
 
-from .grids import build_sparse_grid
+from .grids import build_sparse_grid, sparse_grid_size
 from .interp import (METHODS, RULE_KINDS, BaseRule, UniformLattice, assemble_W,
                      interpolator)
 from .kernels import KroneckerToeplitz, ProductKernel
@@ -513,8 +513,13 @@ def _unb64(s):
 
 def load_model(path):
     """The GpModel saved at ``path``.  A file that is not a skigrid-gp-1
-    model, or lacks a key or holds a malformed one, raises ValueError
-    naming the file."""
+    model, lacks a key, holds a malformed one or holds parts that disagree
+    raises ValueError naming the file.  The parts are checked before
+    anything is built: the kernel's dim, ``grid.dim`` and the lengths of
+    ``domain_map.lo`` and ``domain_map.width`` agree, ``grid_dual`` holds
+    one value per point of the named grid, ``alpha`` one per training
+    point, and ``y_standardization`` has a finite mean and a finite std
+    > 0."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != "skigrid-gp-1":
@@ -534,13 +539,30 @@ def load_model(path):
             rule=payload["rule"], method=payload["method"],
             cg=CgConfig(**cg),
         )
-        grid = _config_grid(cfg, g["dim"])
+        dim = g["dim"]
         domain_map = DomainMap.from_json(payload["domain_map"])
         grid_dual = _unb64(payload["grid_dual"])
         alpha = _unb64(payload["alpha"])
         n_train = payload["n_train"]
         ystd = payload.get("y_standardization", {"mean": 0.0, "std": 1.0})
         y_mean, y_std = ystd["mean"], ystd["std"]
+        if dim != kernel.dim:
+            raise ValueError(f"grid.dim is {dim!r}, but kernel.lengthscales "
+                             f"has {kernel.dim} entries")
+        size = (sparse_grid_size(cfg.resolution, dim) if cfg.grid == "sparse"
+                else cfg.dense_count ** dim)
+        for key, got, want in (("domain_map.lo", domain_map.lo.shape, (dim,)),
+                               ("domain_map.width", domain_map.width.shape,
+                                (dim,)),
+                               ("grid_dual", grid_dual.shape, (size,)),
+                               ("alpha", alpha.shape, (n_train,))):
+            if got != want:
+                raise ValueError(f"{key} has shape {got}, but grid.dim, the "
+                                 f"grid it names and n_train call for {want}")
+        if not (np.isfinite(y_mean) and np.isfinite(y_std) and y_std > 0):
+            raise ValueError(f"y_standardization is {ystd}; it needs a "
+                             f"finite mean and a finite std > 0")
+        grid = _config_grid(cfg, dim)
     except KeyError as exc:
         raise ValueError(f"model file {path} has no key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:

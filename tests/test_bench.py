@@ -10,6 +10,7 @@ from skigrid.bench import (
     MvmMismatch,
     SyntheticTask,
     fit_loglog_slope,
+    fit_standardized,
     gen_synthetic,
     matched_dense_side,
     run_gp_study,
@@ -18,7 +19,8 @@ from skigrid.bench import (
     split_4_2_3,
 )
 from skigrid.grids import sparse_grid_size
-from skigrid.ski import CgConfig
+from skigrid.kernels import ProductKernel
+from skigrid.ski import CgConfig, GpConfig, fit
 
 
 class TestSyntheticTask:
@@ -292,6 +294,43 @@ class TestInterpAccuracy:
         assert dense_sizes == [matched_dense_side(e, 2) for e in range(2, 6)]
 
 
+class TestFitStandardized:
+    CFG = GpConfig(kernel=ProductKernel([0.3, 0.3]), sigma2=1e-4,
+                   resolution=4, cg=CgConfig(rel_tolerance=1e-8,
+                                             max_iters=2000))
+
+    def data(self):
+        X = np.random.default_rng(21).uniform(0, 1, (150, 2))
+        return X, 5.0 + 3.0 * np.cos(3 * X.sum(axis=1))
+
+    def test_standardized_fit_predicts_on_the_data_scale(self):
+        X, y = self.data()
+        model = fit_standardized(self.CFG, X, y)
+        assert (model.y_mean, model.y_std) == (float(y.mean()),
+                                               float(y.std()))
+        inner = fit(self.CFG, X, (y - y.mean()) / y.std())
+        np.testing.assert_array_equal(
+            model.predict_mean(X),
+            inner.predict_mean(X) * y.std() + y.mean())
+        rmse = np.sqrt(np.mean((model.predict_mean(X) - y) ** 2))
+        assert rmse < 0.05 * y.std()
+
+    def test_raw_fit_predicts_on_the_data_scale(self):
+        X, y = self.data()
+        model = fit_standardized(self.CFG, X, y, standardize=False)
+        assert (model.y_mean, model.y_std) == (0.0, 1.0)
+        np.testing.assert_array_equal(model.alpha, fit(self.CFG, X, y).alpha)
+        rmse = np.sqrt(np.mean((model.predict_mean(X) - y) ** 2))
+        assert rmse < 0.05 * y.std()
+
+    def test_constant_target_gets_std_one(self):
+        X, _ = self.data()
+        model = fit_standardized(self.CFG, X, np.full(len(X), 2.5))
+        assert (model.y_mean, model.y_std) == (2.5, 1.0)
+        np.testing.assert_array_equal(model.predict_mean(X[:10]),
+                                      np.full(10, 2.5))
+
+
 class TestGpStudy:
     def small_task(self, **kw):
         kw.setdefault("n_train", 300)
@@ -345,3 +384,20 @@ class TestGpStudy:
         res.write_csv(tmp_path / "gp.csv")
         assert (tmp_path / "gp.jsonl").read_text().count("\n") == \
             len(res.rows) + 1
+
+    def test_both_studies_resolve_cg_none_alike(self, tmp_path,
+                                                 monkeypatch):
+        seen = []
+
+        def spy(cfg, *args):
+            seen.append(cfg.cg)
+            return fit_standardized(cfg, *args)
+
+        monkeypatch.setattr(bench, "fit_standardized", spy)
+        run_gp_study([self.small_task(n_train=60, n_test=10)], resolution=2)
+        data = tmp_path / "data.csv"
+        X = np.random.default_rng(4).uniform(size=(90, 2))
+        np.savetxt(data, np.column_stack([X, np.cos(X.sum(axis=1))]),
+                   delimiter=",")
+        bench.run_csv_study(str(data), resolution=2)
+        assert seen == [CgConfig(rel_tolerance=1e-5, max_iters=2000)] * 4

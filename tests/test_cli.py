@@ -1,4 +1,6 @@
+import base64
 import csv
+import inspect
 import json
 
 import numpy as np
@@ -14,6 +16,10 @@ from skigrid.cli import main
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def _with(payload, part, **changes):
+    return {**payload, part: {**payload[part], **changes}}
 
 
 def make_train_csv(path, n=200, d=2, noise=0.0, seed=0):
@@ -193,6 +199,21 @@ class TestGpFitPredict:
         payload = json.loads(model.read_text())
         assert payload["method"] == "hierarchical" == skigrid.GpConfig.method
         assert payload["rule"] == "simplicial" == skigrid.GpConfig.rule
+        gp, cg = skigrid.GpConfig, skigrid.CgConfig
+        assert payload["grid"] == {"kind": gp.grid, "dim": 2,
+                                   "resolution": gp.resolution,
+                                   "dense_count": gp.dense_count}
+        assert payload["cg"] == {"rel_tolerance": cg.rel_tolerance,
+                                 "max_iters": cg.max_iters,
+                                 "preconditioner": cg.preconditioner}
+        output_scale = inspect.signature(skigrid.ProductKernel)\
+            .parameters["output_scale"].default
+        assert payload["kernel"]["output_scale"] == output_scale
+        config = json.loads(res.stdout)["config"]
+        assert (config["grid"], config["resolution"], config["dense_count"],
+                config["cg_tol"], config["cg_max_iters"]) == (
+            gp.grid, gp.resolution, gp.dense_count, cg.rel_tolerance,
+            cg.max_iters)
 
     def test_fit_then_predict_self_consistency(self, runner, tmp_path):
         # tiny sigma^2, noiseless targets: training-file predictions must
@@ -299,7 +320,18 @@ class TestGpFitPredict:
         lambda payload: {k: v for k, v in payload.items() if k != "rule"},
         lambda payload: {**payload, "cg": {**payload["cg"], "extra": 1}},
         lambda payload: [payload],
-    ], ids=["missing_key", "unknown_cg_key", "list"])
+        lambda payload: _with(payload, "grid", dim=3),
+        lambda payload: _with(payload, "domain_map",
+                              lo=payload["domain_map"]["lo"][:1]),
+        lambda payload: _with(payload, "domain_map",
+                              width=payload["domain_map"]["width"] + [1.0]),
+        lambda payload: {**payload, "alpha": base64.b64encode(
+            base64.b64decode(payload["alpha"])[:-8]).decode()},
+        lambda payload: _with(payload, "kernel", lengthscales=[0.3] * 3),
+        lambda payload: _with(payload, "y_standardization", std=0.0),
+    ], ids=["missing_key", "unknown_cg_key", "list", "grid_dim_3",
+            "lo_one_entry", "width_three_entries", "alpha_short",
+            "three_lengthscales", "std_zero"])
     def test_predict_malformed_model_exit_1(self, runner, tmp_path, corrupt):
         train = tmp_path / "train.csv"
         make_train_csv(train, n=40, d=2, seed=6)
@@ -313,6 +345,7 @@ class TestGpFitPredict:
                                    "--output", str(tmp_path / "p.csv")])
         assert res.exit_code == 1
         assert "input error" in res.stderr and str(model) in res.stderr
+        assert isinstance(res.exception, SystemExit)
 
     def test_loaded_model_predicts_on_data_scale(self, runner, tmp_path):
         # targets with mean ~5 and std ~3: a model fitted by the CLI and
@@ -370,6 +403,30 @@ class TestGpStudy:
         assert set(ranks) == {"sparse", "dense"}
         assert all(v > 0 for v in ranks.values())
 
+    def test_study_rows_carry_the_fit_record(self, runner, tmp_path):
+        # a study writes one row per name of gp fit's CG record, the text
+        # precond_note included, next to cg_converged, fit_time, test_rmse
+        train = tmp_path / "train.csv"
+        make_train_csv(train, n=60, d=2, seed=13)
+        res = runner.invoke(main, ["gp", "fit", "--data", str(train),
+                                   "--model", str(tmp_path / "m.json")])
+        assert res.exit_code == 0, res.output
+        record = set(json.loads(res.stdout)) - {"command", "config", "model",
+                                                "n_train"}
+        out = tmp_path / "study.jsonl"
+        res = runner.invoke(main, ["gp", "study", "--dims", "2",
+                                   "--n-train", "100", "--n-test", "20",
+                                   "--resolution", "2", "--output", str(out)])
+        assert res.exit_code == 0, res.output
+        rows = [json.loads(ln) for ln in out.read_text().splitlines()[1:]]
+        for kind in ("sparse", "dense"):
+            names = [r["metric"] for r in rows if r.get("grid") == kind]
+            assert sorted(names) == sorted(
+                record | {"cg_converged", "fit_time", "test_rmse"})
+            (note,) = [r["value"] for r in rows if r.get("grid") == kind
+                       and r["metric"] == "precond_note"]
+            assert note == ""
+
     def test_csv_study_splits_and_standardizes(self, runner, tmp_path):
         train = tmp_path / "data.csv"
         make_train_csv(train, n=450, d=2, noise=0.02, seed=9)
@@ -399,6 +456,56 @@ class TestGpStudy:
             return [r for r in rows if r.get("record") == "row"
                     and r.get("unit") != "s"]
         assert run(tmp_path / "a.jsonl") == run(tmp_path / "b.jsonl")
+
+
+class TestExitCodes:
+    """Library errors raised inside a command map onto the exit codes."""
+
+    ERRORS = {
+        "correctness": (lambda: bench.MvmMismatch("backends disagree"), 2,
+                        "correctness failure: backends disagree"),
+        "resource": (lambda: skigrid.GridCapExceeded("too many points"), 3,
+                     "resource cap: too many points"),
+        "solver": (lambda: skigrid.CgFailure("no convergence", "STATS"), 4,
+                   "solver failure: no convergence"),
+        "value": (lambda: ValueError("bad value"), 1,
+                  "input error: bad value"),
+        "os": (lambda: OSError("unreadable"), 1, "input error: unreadable"),
+    }
+
+    @pytest.fixture
+    def commands(self, tmp_path):
+        data = tmp_path / "data.csv"
+        make_train_csv(data, n=20, d=2)
+        model = tmp_path / "m.json"
+        model.write_text("{}")
+        return {
+            "run_gp_study": ["gp", "study", "--dims", "2",
+                             "--output", str(tmp_path / "s.jsonl")],
+            "run_interp_accuracy": ["interp-bench", "--d", "2",
+                                    "--output", str(tmp_path / "i.jsonl")],
+            "load_model": ["gp", "predict", "--model", str(model),
+                           "--data", str(data),
+                           "--output", str(tmp_path / "p.csv")],
+        }
+
+    @pytest.mark.parametrize("error", list(ERRORS))
+    @pytest.mark.parametrize("call", ["run_gp_study", "run_interp_accuracy",
+                                      "load_model"])
+    def test_error_inside_command(self, runner, monkeypatch, commands, call,
+                                  error):
+        make, code, line = self.ERRORS[error]
+
+        def fail(*args, **kwargs):
+            raise make()
+
+        monkeypatch.setattr(cli, call, fail)
+        res = runner.invoke(main, commands[call])
+        assert res.exit_code == code
+        lines = res.stderr.splitlines()
+        assert lines[0] == line
+        assert lines[1:] == (["stats: STATS"] if error == "solver" else [])
+        assert res.stdout == ""
 
 
 class TestConfigPlumbing:

@@ -395,6 +395,41 @@ def built_hierarchies(monkeypatch):
     return built
 
 
+def _drop_last_value(b64):
+    return base64.b64encode(base64.b64decode(b64)[:-8]).decode()
+
+
+def _with(payload, part, **changes):
+    return {**payload, part: {**payload[part], **changes}}
+
+
+# Edits of a saved d = 2 model file after which its parts disagree, each
+# with the message that names the key: (edit, message), by id.
+DISAGREEING = {
+    "grid_dim_3": (lambda p: _with(p, "grid", dim=3),
+                   "grid.dim is 3, but kernel.lengthscales has 2 entries"),
+    "three_lengthscales": (
+        lambda p: _with(p, "kernel", lengthscales=[0.3] * 3),
+        "grid.dim is 2, but kernel.lengthscales has 3 entries"),
+    "lo_one_entry": (
+        lambda p: _with(p, "domain_map", lo=p["domain_map"]["lo"][:1]),
+        r"domain_map\.lo has shape \(1,\)"),
+    "width_three_entries": (
+        lambda p: _with(p, "domain_map",
+                        width=p["domain_map"]["width"] + [1.0]),
+        r"domain_map\.width has shape \(3,\)"),
+    "grid_dual_other_grid": (
+        lambda p: _with(p, "grid", resolution=p["grid"]["resolution"] - 1),
+        r"grid_dual has shape"),
+    "alpha_short": (lambda p: {**p, "alpha": _drop_last_value(p["alpha"])},
+                    r"alpha has shape"),
+    "std_zero": (lambda p: _with(p, "y_standardization", std=0.0),
+                 "y_standardization"),
+    "std_nan": (lambda p: _with(p, "y_standardization", std=float("nan")),
+                "y_standardization"),
+}
+
+
 def quick_cfg(d, ell=3, sigma2=0.01, ls=0.35, tol=1e-8, **kw):
     return GpConfig(
         kernel=ProductKernel(lengthscales=np.full(d, ls)),
@@ -767,8 +802,9 @@ class TestFitPredict:
         (lambda payload: {**payload, "kernel": [1.0]}, "malformed"),
         (lambda payload: {**payload, "grid": {**payload["grid"], "dim": "2"}},
          "malformed"),
+        *DISAGREEING.values(),
     ], ids=["missing_key", "unknown_cg_key", "list", "kernel_list",
-            "dim_string"])
+            "dim_string", *DISAGREEING])
     def test_load_rejects_malformed_file(self, tmp_path, corrupt, message):
         rng = np.random.default_rng(101)
         X = rng.uniform(0, 1, (50, 2))
