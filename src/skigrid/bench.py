@@ -25,7 +25,8 @@ import numpy as np
 from .grids import build_sparse_grid, sparse_grid_size
 from .interp import RULE_KINDS, BaseRule, UniformLattice, interpolator
 from .kernels import ProductKernel
-from .sgmvm import DEFAULT_NAIVE_CAP, build_plan, sg_mvm, sg_mvm_batched
+from .sgmvm import DEFAULT_NAIVE_CAP, NaiveDenseKernel, build_plan, sg_mvm, \
+    sg_mvm_batched
 from .ski import ORACLE_POINT_CAP, CgConfig, CgFailure, GpConfig, \
     exact_gp_oracle, fit, read_xy_csv
 
@@ -225,20 +226,9 @@ def _make_recursive(ell, dim, kernel, size_cap):
 
 
 def _make_naive(ell, dim, kernel, size_cap):
-    # Matrix-free on purpose: a materialised K turns every later multiply
-    # into a bandwidth-bound dgemv whose apparent growth drifts with cache
-    # size.  Recomputing kernel blocks keeps the work compute-bound, so
-    # the fitted trend is the quadratic cost itself.
-    pts = build_sparse_grid(ell, dim).points()
-
-    def mvm(v, _block=2048):
-        v = np.asarray(v, dtype=np.float64)
-        out = np.empty(len(pts))
-        for lo in range(0, len(pts), _block):
-            out[lo:lo + _block] = kernel.pairwise(pts[lo:lo + _block], pts) @ v
-        return out
-
-    return mvm
+    # run_mvm_scaling applies its naive cap before it calls a factory
+    return NaiveDenseKernel(build_sparse_grid(ell, dim, size_cap=size_cap),
+                            kernel, point_cap=None).mvm
 
 
 # name -> factory(ell, dim, kernel, size_cap) -> mvm callable.

@@ -57,6 +57,15 @@ for hierarchical, the surpluses H @ values), each pass gathers the values
 of its entries and adds weight * value into its rows, with no merge and no
 CSR.  A GpModel forms g once, so a request costs one evaluate.
 
+The oracle interpolate_direct shares only the one-lattice pass: for the
+combination methods it evaluates each component lattice on its own, as
+interpolator does for a UniformLattice, and joins the components by
+exact corner coordinates, never by the column tables, the grouping into
+passes or the merged rows; for hierarchical it sums tensor linear weights
+over nested lattices, without Phi or H.  So the base rules have one
+implementation, and what joins component lattices is checked against a
+separate route.
+
 Out-of-hull queries are handled by clamping the cell index and local
 coordinate, which keeps rows a partition of unity; level-0 (single-point)
 dimensions carry all their weight on the lone coordinate.
@@ -69,7 +78,6 @@ W v and W^T u are the single products whatever the CPU count.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 import scipy.sparse
@@ -159,8 +167,7 @@ def _local_cell(T, counts):
     """Clamped base-cell index and in-cell coordinate of lattice coordinates
     T (..., d) on lattices of ``counts`` points per axis (..., d).  On a
     single-point axis the cell is 0 and the coordinate means nothing: the
-    passes leave such axes out, tensor_corners skips and
-    simplicial_corners zeroes them."""
+    passes leave such axes out."""
     cell = np.clip(np.floor(T), 0, np.maximum(counts - 2, 0)).astype(np.int64)
     return cell, np.clip(T - cell, 0.0, 1.0)
 
@@ -205,53 +212,6 @@ def _stencil_1d(cell, r, count, width):
         return np.clip(cell + offs, 0, count - 1), _keys_cubic(r - offs)
     return (np.minimum(cell + np.array([0, 1]), count - 1),
             np.concatenate([1.0 - r, r], axis=-1))
-
-
-# ---- corners on one lattice (the direct route) ------------------------------
-
-
-def simplicial_corners(X, lat):
-    """Kuhn-simplex corners (n, d+1, d) and barycentric weights (n, d+1)."""
-    cell, r = _local_cell((X - lat.offsets) / lat.spacings, lat.counts)
-    r[:, lat.counts == 1] = 0.0  # single-point axis: a step of weight 0
-    n, d = X.shape
-    order, w = _kuhn(r)
-    steps = np.concatenate(
-        [np.zeros((n, 1, d), dtype=np.int64),
-         np.cumsum(np.eye(d, dtype=np.int64)[order], axis=1)],
-        axis=1,
-    )
-    corners = np.minimum(cell[:, None, :] + steps, lat.counts - 1)
-    return corners, w
-
-
-def tensor_corners(X, lat, kind):
-    """Tensor-product corners/weights: 2 points per dim (linear) or 4 (cubic).
-
-    Cubic uses the linear stencil in dimensions with fewer than 4 points,
-    and both rules use the lone point, weight 1, in single-point dimensions,
-    so a point has 2 or 4 corners per dimension that has more than one
-    lattice point; stencil indices are clamped into the lattice, duplicates
-    merge later.
-    """
-    widths = _stencil_widths(lat.counts, kind)
-    cell, r = _local_cell((X - lat.offsets) / lat.spacings, lat.counts)
-    n, d = X.shape
-    idxs, ws = [], []
-    for j in range(d):
-        if widths[j] == 1:
-            idx, wj = np.zeros((n, 1), dtype=np.int64), np.ones((n, 1))
-        else:
-            idx, wj = _stencil_1d(cell[:, j : j + 1], r[:, j : j + 1],
-                                  lat.counts[j], widths[j])
-        idxs.append(idx)
-        ws.append(wj)
-    slots = np.array(list(product(*[range(a.shape[1]) for a in idxs])))
-    corners = np.stack([idxs[j][:, slots[:, j]] for j in range(d)], axis=2)
-    w = ws[0][:, slots[:, 0]].copy()
-    for j in range(1, d):
-        w *= ws[j][:, slots[:, j]]
-    return corners, w
 
 
 # ---- grid combinations ------------------------------------------------------
@@ -732,27 +692,29 @@ def interpolate_direct(f, X, resolution, dim, base=BaseRule(),
                        method=METHODS[0]):
     """Sparse-grid interpolant of f at X, by direct evaluation.
 
-    Computes every component's corner coordinates directly from the
-    lattice geometry, with no grid enumeration or index lookup, so it
-    cross-checks the assemble_W route end to end.  f is called once, on
-    the distinct corners, found by sorting exact integer keys: corner c of
-    a level-l axis lies at (2c + 1) / 2^(l+1), and l <= resolution, so a
-    key is 2^(resolution+1) times the corner's coordinates.  "hierarchical"
-    ignores ``base``; see _nested_direct.
+    Evaluates each component lattice on its own, by the one-lattice
+    stencil pass (interpolator on a UniformLattice), and joins the
+    components by their corners' coordinates alone: it reads no column
+    table, injection, grid enumeration, pass grouping or merged row, so it
+    cross-checks the assemble_W route end to end.  A corner's lattice
+    indices are the unravelled row-major index of its pass.  f is called
+    once, on the distinct corners, found by sorting exact integer keys:
+    corner c of a level-l axis lies at (2c + 1) / 2^(l+1), and l <=
+    resolution, so a key is 2^(resolution+1) times the corner's
+    coordinates.  "hierarchical" ignores ``base``; see _nested_direct.
     """
     if method == "hierarchical":
         return _nested_direct(f, X, resolution, dim)
-    base = _as_rule(base)
-    X = np.asarray(X, dtype=np.float64)
     comps = _components(resolution, dim, method)
     keys, weights = [], []
     for levels, _ in comps:
         lat = UniformLattice.from_levels(levels)
-        corners, w = (simplicial_corners(X, lat) if base.kind == "simplicial"
-                      else tensor_corners(X, lat, base.kind))
+        tables = interpolator(lat, base)
+        (_, flat, w), = tables.evaluated(tables._points(X))
+        corners = np.stack(np.unravel_index(flat[:, 0], lat.shape), axis=-1)
         shift = resolution - np.array(levels)
         keys.append(((2 * corners + 1) << shift).reshape(-1, dim))
-        weights.append(w)
+        weights.append(w[:, 0])
     keys = np.concatenate(keys)
     order = np.lexsort(keys.T)
     ranked = keys[order]

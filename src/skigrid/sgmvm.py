@@ -3,8 +3,9 @@
 Three routes to u = K v for K the kernel matrix on G(ell, d) in canonical
 order:
 
-* ``naive_kernel_mvm`` — materialize K pointwise and multiply; the
-  correctness oracle, quadratic in grid size.
+* ``naive_kernel_mvm`` — form K pointwise, a block of rows at a time, and
+  multiply; the correctness oracle, quadratic in grid size in time but
+  never holding K.
 * ``sg_mvm`` — the recursive fast algorithm.  Split v into the canonical
   blocks V_i (rows Omega_i, columns G(ell-i, d-1)).  The product kernel
   makes each cross block K_{ij} a Kronecker product of a 1-d factor between
@@ -53,31 +54,43 @@ from .grids import (
 from .kernels import toeplitz_from_grid
 
 DEFAULT_NAIVE_CAP = 3 * 10**4
+# Rows of K that NaiveDenseKernel.mvm forms at a time.
+NAIVE_BLOCK_ROWS = 2048
 
 
 # ---- naive oracle --------------------------------------------------------
 
 
 class NaiveDenseKernel:
-    """Dense kernel matrix on a grid; the quadratic-cost reference."""
+    """K v on a grid from the kernel pointwise; the quadratic-cost reference.
+
+    K is never stored: ``mvm`` recomputes it in blocks of NAIVE_BLOCK_ROWS
+    rows, ``kernel.pairwise(points[block], points) @ V``, so memory stays
+    at a few (block, |G|) arrays.  A stored K would also turn every later
+    multiply into a bandwidth-bound product whose apparent growth drifts
+    with cache size; recomputing keeps the work compute-bound, so a fitted
+    time trend is the quadratic cost itself.
+    """
 
     def __init__(self, grid, kernel, point_cap=DEFAULT_NAIVE_CAP):
         n = len(grid)
         if point_cap is not None and n > point_cap:
-            raise GridCapExceeded(
-                f"naive path needs a dense {n}x{n} matrix, cap is {point_cap} points"
-            )
-        self.grid = grid
+            raise GridCapExceeded(f"naive path needs {n}x{n} kernel entries per "
+                                  f"multiply, cap is {point_cap} points")
         self.kernel = kernel
-        self.K = kernel.pairwise(grid.points())
+        self.points = grid.points()
 
     def mvm(self, v):
-        return self.K @ v
+        """K v for v of shape (|G|,) or (|G|, r)."""
+        step, pts = NAIVE_BLOCK_ROWS, self.points
+        return np.concatenate([self.kernel.pairwise(pts[lo:lo + step], pts) @ v
+                               for lo in range(0, len(pts), step)])
 
 
 def naive_kernel_mvm(grid, kernel, v, point_cap=DEFAULT_NAIVE_CAP):
-    """u = K v with K formed pointwise.  Correctness oracle, O(m^2)."""
-    return NaiveDenseKernel(grid, kernel, point_cap=point_cap).mvm(np.asarray(v))
+    """u = K v with K formed pointwise, block by block.  Correctness
+    oracle, O(m^2) time."""
+    return NaiveDenseKernel(grid, kernel, point_cap=point_cap).mvm(v)
 
 
 # ---- shared plan ---------------------------------------------------------

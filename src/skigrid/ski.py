@@ -427,16 +427,24 @@ def _config_grid(cfg, dim):
             else UniformLattice.unit(dim, cfg.dense_count))
 
 
+def _grid_delta(cfg):
+    """Half the spacing of the config's grid, the margin of [delta,
+    1-delta] that the domain map puts the data box in: 2^-(l+1) on a
+    sparse grid, 0.5 / dense_count on a dense lattice."""
+    return (2.0 ** -(cfg.resolution + 1) if cfg.grid == "sparse"
+            else 0.5 / cfg.dense_count)
+
+
 def _build_backend(cfg, dim):
     """(grid object for W assembly, grid kernel MVM, half-spacing delta,
     workspace floats per column of one MVM)."""
     grid = _config_grid(cfg, dim)
     if cfg.grid == "sparse":
         plan = build_plan(cfg.resolution, dim, cfg.kernel)
-        return (grid, lambda v: sg_mvm_batched(plan, v),
-                2.0 ** -(cfg.resolution + 1), plan.workspace_floats)
+        return (grid, lambda v: sg_mvm_batched(plan, v), _grid_delta(cfg),
+                plan.workspace_floats)
     kron = KroneckerToeplitz(cfg.kernel, grid.counts, grid.spacings)
-    return grid, kron.mvm, 0.5 / cfg.dense_count, kron.size
+    return grid, kron.mvm, _grid_delta(cfg), kron.size
 
 
 class GpModel:
@@ -480,7 +488,9 @@ class GpModel:
         return mean * self.y_std + self.y_mean
 
     def save(self, path, **extra):
-        """Write the model as JSON; ``extra`` adds top-level keys."""
+        """Write the model as JSON; ``extra`` adds top-level keys.  An
+        extra key that is also a model key raises ValueError before the
+        file is opened, so a file already at ``path`` is left as it was."""
         cfg = self.config
         payload = {
             "format": "skigrid-gp-1",
@@ -497,10 +507,11 @@ class GpModel:
             "y_standardization": {"mean": self.y_mean, "std": self.y_std},
             "alpha": _b64(self.alpha),
             "grid_dual": _b64(self.grid_dual),
-            **extra,
         }
+        if clash := sorted(payload.keys() & extra.keys()):
+            raise ValueError(f"extra keys {clash} would overwrite the model's own")
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
+            json.dump({**payload, **extra}, fh, indent=1)
 
 
 def _b64(arr):
@@ -519,7 +530,9 @@ def load_model(path):
     ``domain_map.lo`` and ``domain_map.width`` agree, ``grid_dual`` holds
     one value per point of the named grid, ``alpha`` one per training
     point, and ``y_standardization`` has a finite mean and a finite std
-    > 0."""
+    > 0.  ``domain_map.delta`` must be the one the grid fixes
+    (_grid_delta), ``domain_map.lo`` finite and ``domain_map.width``
+    finite and >= 0 (0 on a column that was constant in training)."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != "skigrid-gp-1":
@@ -559,6 +572,15 @@ def load_model(path):
             if got != want:
                 raise ValueError(f"{key} has shape {got}, but grid.dim, the "
                                  f"grid it names and n_train call for {want}")
+        if domain_map.delta != _grid_delta(cfg):
+            raise ValueError(f"domain_map.delta is {domain_map.delta!r}, but "
+                             f"the grid it names fixes it at {_grid_delta(cfg)!r}")
+        if not np.isfinite(domain_map.lo).all():
+            raise ValueError(f"domain_map.lo is {domain_map.lo.tolist()}; "
+                             f"every entry must be finite")
+        if not (np.isfinite(domain_map.width) & (domain_map.width >= 0)).all():
+            raise ValueError(f"domain_map.width is {domain_map.width.tolist()}; "
+                             f"every entry must be finite and >= 0")
         if not (np.isfinite(y_mean) and np.isfinite(y_std) and y_std > 0):
             raise ValueError(f"y_standardization is {ystd}; it needs a "
                              f"finite mean and a finite std > 0")

@@ -329,9 +329,17 @@ class TestGpFitPredict:
             base64.b64decode(payload["alpha"])[:-8]).decode()},
         lambda payload: _with(payload, "kernel", lengthscales=[0.3] * 3),
         lambda payload: _with(payload, "y_standardization", std=0.0),
+        lambda payload: _with(payload, "domain_map", delta=0.3),
+        lambda payload: _with(payload, "domain_map", width=[
+            -w for w in payload["domain_map"]["width"]]),
+        lambda payload: _with(payload, "domain_map", width=[
+            float("inf"), *payload["domain_map"]["width"][1:]]),
+        lambda payload: _with(payload, "domain_map", lo=[
+            float("nan"), *payload["domain_map"]["lo"][1:]]),
     ], ids=["missing_key", "unknown_cg_key", "list", "grid_dim_3",
             "lo_one_entry", "width_three_entries", "alpha_short",
-            "three_lengthscales", "std_zero"])
+            "three_lengthscales", "std_zero", "delta_edited",
+            "width_negated", "width_inf", "lo_nan"])
     def test_predict_malformed_model_exit_1(self, runner, tmp_path, corrupt):
         train = tmp_path / "train.csv"
         make_train_csv(train, n=40, d=2, seed=6)

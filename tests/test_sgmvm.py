@@ -1,5 +1,7 @@
 """Fast sparse-grid MVM routes against the dense oracle, plus plan invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from skigrid.grids import (
     sparse_grid_size,
     sparse_injection,
 )
+from skigrid import sgmvm
 from skigrid.kernels import ProductKernel
 from skigrid.sgmvm import (
     NaiveDenseKernel,
@@ -229,3 +232,32 @@ class TestNaive:
         with pytest.raises(GridCapExceeded):
             NaiveDenseKernel(grid, kernel, point_cap=grid.size - 1)
         NaiveDenseKernel(grid, kernel, point_cap=grid.size)  # boundary ok
+
+    def test_row_blocks_join_to_the_whole_product(self, monkeypatch):
+        # 7-row blocks, the last one short, for one vector and for three
+        monkeypatch.setattr(sgmvm, "NAIVE_BLOCK_ROWS", 7)
+        grid = build_sparse_grid(3, 3)
+        kernel = ProductKernel(lengthscales=[0.3, 0.5, 0.9], output_scale=1.5)
+        K = kernel.pairwise(grid.points())
+        rng = np.random.default_rng(5)
+        for v in (rng.standard_normal(grid.size),
+                  rng.standard_normal((grid.size, 3))):
+            got = naive_kernel_mvm(grid, kernel, v)
+            assert got.shape == v.shape
+            np.testing.assert_allclose(got, K @ v, rtol=1e-13, atol=1e-13)
+
+    def test_memory_stays_within_a_few_row_blocks(self, monkeypatch):
+        # K (|G| x |G|) is never held: one multiply's peak is a few
+        # (block, |G|) arrays, here with 256-row blocks on G(4, 6)
+        monkeypatch.setattr(sgmvm, "NAIVE_BLOCK_ROWS", 256)
+        grid = build_sparse_grid(4, 6)
+        grid.points()  # the cached enumeration is not the multiply's
+        kernel = ProductKernel(lengthscales=np.full(6, 0.4))
+        v = np.random.default_rng(6).standard_normal(grid.size)
+        tracemalloc.start()
+        try:
+            naive_kernel_mvm(grid, kernel, v, point_cap=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 256 * grid.size * 8

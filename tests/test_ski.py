@@ -427,6 +427,21 @@ DISAGREEING = {
                  "y_standardization"),
     "std_nan": (lambda p: _with(p, "y_standardization", std=float("nan")),
                 "y_standardization"),
+    "delta_edited": (lambda p: _with(p, "domain_map", delta=0.3),
+                     r"domain_map\.delta is 0\.3, but the grid it names "
+                     r"fixes it at 0\.0625"),
+    "width_negated": (
+        lambda p: _with(p, "domain_map",
+                        width=[-w for w in p["domain_map"]["width"]]),
+        r"domain_map\.width is .*finite and >= 0"),
+    "width_inf": (
+        lambda p: _with(p, "domain_map",
+                        width=[float("inf"), *p["domain_map"]["width"][1:]]),
+        r"domain_map\.width is \[inf,"),
+    "lo_nan": (
+        lambda p: _with(p, "domain_map",
+                        lo=[float("nan"), *p["domain_map"]["lo"][1:]]),
+        r"domain_map\.lo is \[nan,"),
 }
 
 
@@ -814,6 +829,31 @@ class TestFitPredict:
         with pytest.raises(ValueError, match=message) as err:
             load_model(path)
         assert str(path) in str(err.value)
+
+    def test_load_accepts_zero_width_of_a_constant_column(self, tmp_path):
+        rng = np.random.default_rng(103)
+        X = rng.uniform(0, 1, (60, 2))
+        X[:, 1] = 0.25
+        model = fit(quick_cfg(2), X, np.sin(X[:, 0]))
+        path = tmp_path / "model.json"
+        model.save(path)
+        assert json.loads(path.read_text())["domain_map"]["width"][1] == 0.0
+        Xs = rng.uniform(0, 1, (10, 2))
+        np.testing.assert_array_equal(load_model(path).predict_mean(Xs),
+                                      model.predict_mean(Xs))
+
+    @pytest.mark.parametrize("key", ["format", "alpha"])
+    def test_save_rejects_extra_keys_that_are_model_keys(self, tmp_path, key):
+        rng = np.random.default_rng(107)
+        X = rng.uniform(0, 1, (50, 2))
+        model = fit(quick_cfg(2), X, np.sin(X.sum(axis=1)))
+        path = tmp_path / "model.json"
+        model.save(path, cli={"command": "fit"})
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=f"extra keys \\['{key}'\\]"):
+            model.save(path, **{key: "mine"})
+        assert path.read_bytes() == before
+        assert json.loads(before)["cli"] == {"command": "fit"}
 
     def test_load_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "bogus.json"
