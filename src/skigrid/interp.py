@@ -46,9 +46,12 @@ Simplices", ICML 2021).  Entries keep component-then-corner order within a
 row, so duplicates merge in the same order whatever the block size.  The
 hierarchical tables are the same kind for the S subspaces (levels, strides,
 bases, concatenated rect_injection), plus H, whose hierarchical parents are
-found by index arithmetic on them; Phi's rows are one (rows, S, d) gather of
-per-axis hats, with nothing to merge.  Points go through in row blocks sized
-from a byte budget.
+found by index arithmetic on them, and the prefix tree of the levels over
+the axes; Phi's rows are one pass down that tree, which forms the hat
+product and row-major position of each shared level prefix once for all
+rows (Bungartz & Griebel's recursive descent over the subspaces), with
+nothing to merge.  Points go through in row blocks sized from a byte
+budget.
 
 An interpolator's weights(X) is the W the fit builds once and applies twice
 per CG iteration.  Its evaluate(X, g) runs the same passes and row blocks
@@ -467,20 +470,21 @@ def _tensor_pass(p, cell, r):
 
 
 def _hats(X, resolution):
-    """Index and weight (m, d, resolution + 1) of the one clamped hat per
-    level 0..resolution that can be non-zero at each coordinate of X (m, d).
+    """Index (int32) and weight (d, resolution + 1, m) of the one clamped hat
+    per level 0..resolution that can be non-zero at each coordinate of X
+    (m, d), each (axis, level) a contiguous row.
 
     Level l has 2^l hats centred on (2i + 1) / 2^(l+1), each falling to 0
     at the neighbouring level-(l-1) nodes; the first and last stay at 1 out
     to the faces, so the level-0 hat is the constant 1.
     """
-    scale = np.ldexp(1.0, np.arange(resolution + 1) + 1)   # 2^(l+1)
+    scale = np.ldexp(1.0, np.arange(resolution + 1) + 1)[:, None]   # 2^(l+1)
     last = scale / 2 - 1
-    t = X[..., None] * scale
+    t = np.ascontiguousarray(X.T)[:, None, :] * scale
     i = np.clip(np.floor(0.5 * t), 0, last)
     s = np.clip(t - (2 * i + 1), np.where(i > 0, -1.0, 0.0),
                 np.where(i < last, 1.0, 0.0))
-    return i.astype(np.int64), 1.0 - np.abs(s)
+    return i.astype(np.int32), 1.0 - np.abs(s)
 
 
 class _Hierarchy(_Tables):
@@ -496,6 +500,13 @@ class _Hierarchy(_Tables):
     subspace s from ``bases[s]``, so the table is a permutation of the
     grid.  H (|G| x |G| CSR) maps grid values to surpluses.  A row of Phi
     has one entry per subspace, so ``row_bound`` is S.
+
+    ``tree`` is the prefix tree of ``levels`` over the axes: layer j lists
+    the prefixes (l_0, ..., l_j) with sum <= resolution, lexicographic.
+    Layer 0 is the levels 0..resolution of axis 0; tree[j - 1] holds, for
+    each node of layer j >= 1, the index of its parent in layer j - 1 and
+    its l_j, (nodes,) each, and the slice of ``hat_rows`` that lists the
+    layer's hats.  The last layer is ``levels``, in order.
     """
 
     setting = "method=hierarchical"
@@ -513,6 +524,20 @@ class _Hierarchy(_Tables):
                                           for lv in levels.tolist()])
         self.size, self.row_bound = len(self.columns), self.n_grids
         self.H = self._surplus_matrix(sizes)
+        # layer j's prefixes by their keys, the full keys floor-divided by
+        # radix[j]: ascending keys are lexicographic prefixes
+        layers = [np.unique(self.keys // r) for r in self.radix]
+        last = [keys % (resolution + 1) for keys in layers]
+        ends = np.cumsum([len(keys) for keys in layers])
+        self.tree = [(np.searchsorted(up, keys // (resolution + 1)),
+                      level.astype(np.int32), slice(start, end))
+                     for up, keys, level, start, end
+                     in zip(layers, layers[1:], last[1:], ends, ends[1:])]
+        # a node's hat is row j (resolution + 1) + l_j of the hats; every
+        # layer's rows, in layer order, are gathered at once
+        self.hat_rows = np.concatenate([j * (resolution + 1) + level
+                                        for j, level in enumerate(last)])
+        self.work_nodes = sum(sorted(map(len, layers))[-2:])
 
     def _surplus_matrix(self, sizes):
         """H = H_{d-1} ... H_0, H_j the 1-d hierarchization along axis j.
@@ -554,19 +579,33 @@ class _Hierarchy(_Tables):
         return H
 
     def block_rows(self):
-        """Rows per block: one (rows, S, d) array of 8-byte items fills
-        BLOCK_BYTES."""
-        return max(1, BLOCK_BYTES // (8 * self.levels.size))
+        """Rows per block: the positions and weights of the tree's two
+        largest layers, a layer step's input and output, at 16 bytes a
+        node, fill BLOCK_BYTES."""
+        return max(1, BLOCK_BYTES // (16 * self.work_nodes))
 
     def evaluated(self, X):
         """Yield once (None, table positions, weights) of X's rows, (m, S,
         1) each, as one pass of S components with one slot: every
-        subspace's one hat, the product of its axes' hats."""
-        idx, w = _hats(X, self.resolution)
-        axes = np.arange(self.dim)
-        flat = np.einsum("msd,sd->ms", idx[:, axes, self.levels], self.strides) \
-            + self.bases
-        yield None, flat[..., None], w[:, axes, self.levels].prod(axis=2)[..., None]
+        subspace's one hat, the product of its axes' hats.
+
+        One pass down the tree forms each prefix once, for all rows, as a
+        (nodes, m) layer: positions by Horner's rule (the row-major stride
+        of axis j - 1 is 2^(l_j) times that of axis j) and weights as
+        products in axis order, so each is exactly what the sum of indices
+        times strides and the product over the axes give.
+        """
+        shape = (self.dim * (self.resolution + 1), len(X))
+        idx, w = (a.reshape(shape)[self.hat_rows]
+                  for a in _hats(X, self.resolution))
+        flat, prod = idx[: self.resolution + 1], w[: self.resolution + 1]
+        for parent, level, hats in self.tree:
+            flat = (flat[parent] << level[:, None]) + idx[hats]
+            prod = prod[parent] * w[hats]
+        # the int64 bases make the positions intp, which numpy's gathers
+        # take without a cast
+        flat = flat + self.bases[:, None]
+        yield None, flat.T[..., None], prod.T[..., None]
 
     def rows(self, X):
         """CSR rows of Phi at X: S entries each, every column once."""
@@ -584,7 +623,7 @@ def interpolator(grid, rule=BaseRule(), method=METHODS[0]):
     UniformLattice (single-grid rows under ``rule``, method ignored).  An
     unknown grid type raises TypeError; an unknown rule, or an unknown
     method on a sparse grid, ValueError.  Each call builds new tables,
-    owned by the caller (1.5, 4.0 and 11.3 ms at d = 4, 6 and 8, l = 4,
+    owned by the caller (1.6, 4.0 and 10.4 ms at d = 4, 6 and 8, l = 4,
     hierarchical; min of 7 builds, 1 BLAS thread, 2-vCPU x86 VM).  The
     result's weights(X) is W(X); evaluate(X, table_values(values)) is
     W(X) @ values, and table_values can be formed once for many X.

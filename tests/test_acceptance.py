@@ -85,10 +85,11 @@ def _criterion_2():
                 scale = float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
                 kern = ProductKernel(ls, output_scale=scale)
                 plan = build_plan(ell, d, kern)
-                ref_op = NaiveDenseKernel(grid, kern, point_cap=None)
-                for _ in range(5):
-                    v = rng.standard_normal(len(grid))
-                    ref = ref_op.mvm(v)
+                # the five vectors as rows of one draw, the same numbers as
+                # five draws, so the reference forms each kernel block once
+                V = rng.standard_normal((5, len(grid)))
+                refs = NaiveDenseKernel(grid, kern, point_cap=None).mvm(V.T)
+                for v, ref in zip(V, refs.T):
                     den = np.linalg.norm(ref)
                     for out in (sg_mvm(plan, v), sg_mvm_batched(plan, v)):
                         worst = max(worst, float(np.linalg.norm(out - ref) / den))

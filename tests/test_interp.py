@@ -907,3 +907,65 @@ class TestHierarchical:
         got = interpolate_direct(f, X, ell, d, method="hierarchical")
         for x, value in zip(X, got):
             assert abs(value - float(exact_hierarchical(f, x, g))) <= 1e-16
+
+
+def gathered_rows(tables, X):
+    """Phi's rows at X subspace by subspace, the reference for the prefix
+    tree: every subspace's per-axis hats gathered as one (m, S, d) array,
+    positions the sums of hat indices times strides plus bases, weights the
+    products of the hats over the axes in axis order; (m, S) each."""
+    scale = np.ldexp(1.0, np.arange(tables.resolution + 1) + 1)
+    last = scale / 2 - 1
+    t = X[..., None] * scale
+    i = np.clip(np.floor(0.5 * t), 0, last)
+    s = np.clip(t - (2 * i + 1), np.where(i > 0, -1.0, 0.0),
+                np.where(i < last, 1.0, 0.0))
+    idx, w = i.astype(np.int64), 1.0 - np.abs(s)
+    axes = np.arange(tables.dim)
+    flat = np.einsum("msd,sd->ms", idx[:, axes, tables.levels],
+                     tables.strides) + tables.bases
+    return flat, w[:, axes, tables.levels].prod(axis=2)
+
+
+class TestPrefixTree:
+    @pytest.mark.parametrize("ell", [0, 1, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 4, 6, 8])
+    def test_layers_are_the_lexicographic_prefixes(self, d, ell):
+        tables = interpolator(build_sparse_grid(ell, d))
+        prefixes = np.arange(ell + 1)[:, None]
+        for j, (parent, level, _) in enumerate(tables.tree, 1):
+            prefixes = np.column_stack([prefixes[parent], level])
+            assert len(prefixes) == math.comb(ell + j + 1, j + 1)
+            assert (prefixes.sum(axis=1) <= ell).all()
+            order = np.lexsort(prefixes.T[::-1])
+            np.testing.assert_array_equal(order, np.arange(len(prefixes)))
+        # the last layer is ``levels``, in their own order
+        np.testing.assert_array_equal(prefixes, tables.levels)
+
+    @pytest.mark.parametrize("ell", [0, 1, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 4, 6, 8])
+    def test_matches_the_gathered_rows_bit_for_bit(self, d, ell):
+        # the tree forms the same positions, and the same products in the
+        # same order, as the gather, so Phi and evaluate are bit-identical
+        tables = interpolator(build_sparse_grid(ell, d))
+        B = tables.block_rows()
+        rng = np.random.default_rng([163, d, ell])
+        g = tables.table_values(rng.standard_normal(tables.size))
+        for n in sorted({0, 1, B - 1, B, B + 1}):
+            X = rng.uniform(-0.1, 1.1, (n, d))
+            X[::3] = np.round(X[::3] * 32) / 32   # on hat peaks and edges
+            flat, w = gathered_rows(tables, X)
+            phi = tables.weights(X).phi
+            np.testing.assert_array_equal(phi.indptr,
+                                          np.arange(0, w.size + 1, w.shape[1]))
+            np.testing.assert_array_equal(
+                phi.indices, tables.columns[flat.ravel()], strict=True)
+            np.testing.assert_array_equal(phi.data, w.ravel(), strict=True)
+            want = np.zeros(n)
+            for start in range(0, n, B):
+                rows = slice(start, start + B)
+                flat, w = gathered_rows(tables, X[rows])
+                want[rows] += np.einsum("ick,ick->i", w[..., None],
+                                        g[flat[..., None]])
+            np.testing.assert_array_equal(tables.evaluate(X, g), want,
+                                          strict=True)
